@@ -12,7 +12,7 @@ from .families import (bresinsky_generators, bresinsky_sequence, family_sweep,
 from .groebner import (ComputationLimitExceeded, buchberger, homogenize_basis,
                        reduce_basis)
 from .orders import MonomialOrder
-from .resolution import free_resolution, minimalize
+from .resolution import betti_numbers, free_resolution, minimalize
 from .semigroup import NumericalSemigroup
 from .toric import defining_ideal, minimal_generators, monomial_curve
 
@@ -150,10 +150,9 @@ def _cmd_resolution(args):
 
 def _cmd_betti(args):
     curve = _curve(args.generators, args)
-    pres = defining_ideal(curve, max_basis=args.max_gb)
-    res = minimalize(free_resolution(pres, max_basis=args.max_gb))
-    payload = {"generators": list(curve.exponents), "betti": res.betti}
-    return payload, [f"betti numbers: {res.betti}"]
+    betti = betti_numbers(curve, max_basis=args.max_gb)
+    payload = {"generators": list(curve.exponents), "betti": betti}
+    return payload, [f"betti numbers: {betti}"]
 
 
 def _cmd_bresinsky(args):
@@ -248,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-vars", type=int, default=DEFAULT_MAX_VARS)
         p.add_argument("--max-conductor", type=int, default=DEFAULT_MAX_CONDUCTOR)
         p.add_argument("--max-gb", type=int, default=DEFAULT_MAX_GB)
-        p.add_argument("--seed", type=int, default=0,
-                       help="sampling seed (sampling commands only)")
 
     common(sub.add_parser("semigroup", help="invariants, gaps, symmetry"))
     common(sub.add_parser("ideal", help="minimal generators of the defining ideal"))

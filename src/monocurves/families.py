@@ -7,14 +7,18 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .groebner import GroebnerBasis, buchberger, is_groebner_basis
+from .groebner import (ComputationLimitExceeded, GroebnerBasis, buchberger,
+                       is_groebner_basis)
 from .orders import MonomialOrder
 from .poly import Polynomial
-from .resolution import betti_numbers, free_resolution, minimalize
+from .resolution import free_resolution, minimalize
 from .semigroup import NumericalSemigroup
-from .toric import eta_check, minimal_generators, parametrization_kernel
+from .toric import eta_check, parametrization_kernel
 
 _BRESINSKY_VARS = ("x1", "x2", "x3", "x4")
+
+# what family_sweep records as a row's error: bad parameters and size guards
+_ROW_ERRORS = (ValueError, OverflowError, ComputationLimitExceeded)
 
 
 @dataclass(frozen=True)
@@ -39,11 +43,8 @@ def bresinsky_sequence(q2: int) -> BresinskyInstance:
     if not isinstance(q2, int) or q2 < 4 or q2 % 2:
         raise ValueError("q2 must be an even integer >= 4")
     q1, d1 = q2 + 1, q2 - 1
+    # gcd(n) = 1 needs no check: gcd(q1*q2, q2*d1) = q2, gcd(q2, q1*d1) = 1
     n = (q1 * q2, q1 * d1, q1 * q2 + d1, q2 * d1)
-    g = 0
-    for x in n:
-        g = gcd(g, x)
-    assert g == 1
     return BresinskyInstance(q2, q1, d1, n)
 
 
@@ -89,7 +90,9 @@ def verify_bresinsky(inst: BresinskyInstance, *,
 
     it equals the defining ideal (mutual reduction to zero), it is a
     Groebner basis under lex x3 > x2 > x1 > x4, and the minimalized
-    resolution has Betti numbers (2*q2, 4*(q2-1), 2*q2-3).
+    resolution has Betti numbers (2*q2, 4*(q2-1), 2*q2-3).  The Betti
+    numbers come from the resolution of the kernel computed for the first
+    check, so the elimination runs once.
     """
     gens = bresinsky_generators(inst)
     order = bresinsky_order()
@@ -102,7 +105,7 @@ def verify_bresinsky(inst: BresinskyInstance, *,
     generates = (all(not kernel_gb.normal_form(g) for g in gens)
                  and all(not s_gb.normal_form(g) for g in kernel.generators))
 
-    betti = tuple(betti_numbers(sorted(inst.n), max_basis=max_basis))
+    betti = tuple(minimalize(free_resolution(kernel, max_basis=max_basis)).betti)
     expected = (2 * inst.q2, 4 * (inst.q2 - 1), 2 * inst.q2 - 3)
     return BresinskyReport(generates, ok_gb, betti == expected, betti, expected)
 
@@ -145,11 +148,10 @@ def concatenation_semigroup(a: int, d: int, b: int, p: int):
 def _curve_row(sorted_gens: Sequence[int], *, max_basis: int | None = None) -> dict:
     semigroup = NumericalSemigroup(sorted_gens)
     pres = parametrization_kernel(semigroup.minimal_generators, max_basis=max_basis)
-    mini = minimal_generators(pres)
     res = minimalize(free_resolution(pres, max_basis=max_basis))
     return {
         "beta": res.betti,
-        "beta1": mini.beta1,
+        "beta1": res.betti[0],
         "frobenius": semigroup.frobenius,
         "symmetric": semigroup.is_symmetric(),
         "eta_ok": eta_check(pres),
@@ -158,8 +160,12 @@ def _curve_row(sorted_gens: Sequence[int], *, max_basis: int | None = None) -> d
 
 def family_sweep(family: str, params: Iterable, *,
                  max_basis: int | None = None) -> list[dict]:
-    """Batch the full pipeline over a parameter range; errors are recorded
-    per row and never abort the sweep."""
+    """Batch the full pipeline over a parameter range.
+
+    Invalid parameters and exceeded size guards are recorded as the row's
+    error and never abort the sweep; any other exception, such as a broken
+    internal invariant, propagates.
+    """
     rows = []
     if family == "bresinsky":
         for q2 in params:
@@ -169,7 +175,7 @@ def family_sweep(family: str, params: Iterable, *,
                 row["n"] = list(inst.n)
                 row.update(_curve_row(sorted(inst.n), max_basis=max_basis))
                 row["error"] = None
-            except Exception as exc:
+            except _ROW_ERRORS as exc:
                 row["error"] = str(exc)
             rows.append(row)
     elif family == "concatenation":
@@ -180,7 +186,7 @@ def family_sweep(family: str, params: Iterable, *,
                 row["n"] = list(inst.generators)
                 row.update(_curve_row(inst.generators, max_basis=max_basis))
                 row["error"] = None
-            except Exception as exc:
+            except _ROW_ERRORS as exc:
                 row["error"] = str(exc)
             rows.append(row)
     else:

@@ -20,7 +20,8 @@ class GroebnerBasis:
     Transcripts are built on demand: for a pair with coprime leading
     monomials the combination -(g - Lm g)*f + (f - Lm f)*g is taken as the
     reduction to zero, every other pair is divided against the basis.
-    Requesting a transcript on a non-basis raises ValueError.
+    ``transcript`` raises ValueError for a pair that leaves a remainder;
+    ``is_groebner_basis`` reports such records instead.
     """
 
     def __init__(self, generators: Iterable[Polynomial], order: MonomialOrder):
@@ -53,27 +54,28 @@ class GroebnerBasis:
     def contains(self, f: Polynomial) -> bool:
         return not self.normal_form(f)
 
+    def _spair_record(self, i: int, j: int) -> DivisionRecord:
+        gi, gj = self.generators[i], self.generators[j]
+        if not exp_coprime(self._leads[i], self._leads[j]):
+            return divide(s_polynomial(gi, gj, self.order), self.generators, self.order)
+        lt_i = Polynomial.monomial(gi.variables, self._leads[i])
+        lt_j = Polynomial.monomial(gj.variables, self._leads[j])
+        quots = [Polynomial.zero(gi.variables) for _ in self.generators]
+        quots[i] = -(gj - lt_j)
+        quots[j] = gi - lt_i
+        return DivisionRecord(tuple(quots), Polynomial.zero(gi.variables),
+                              via_coprime_criterion=True)
+
     def transcript(self, i: int, j: int) -> DivisionRecord:
         if not 0 <= i < j < len(self.generators):
             raise ValueError("transcript wants a pair i < j of basis indices")
-        if (i, j) in self._transcripts:
-            return self._transcripts[(i, j)]
-        gi, gj = self.generators[i], self.generators[j]
-        if exp_coprime(self._leads[i], self._leads[j]):
-            lt_i = Polynomial.monomial(gi.variables, self._leads[i])
-            lt_j = Polynomial.monomial(gj.variables, self._leads[j])
-            quots = [Polynomial.zero(gi.variables) for _ in self.generators]
-            quots[i] = -(gj - lt_j)
-            quots[j] = gi - lt_i
-            rec = DivisionRecord(tuple(quots), Polynomial.zero(gi.variables),
-                                 tuple(range(len(self.generators))),
-                                 via_coprime_criterion=True)
-        else:
-            rec = divide(s_polynomial(gi, gj, self.order), self.generators, self.order)
+        rec = self._transcripts.get((i, j))
+        if rec is None:
+            rec = self._spair_record(i, j)
             if rec.remainder:
                 raise ValueError(f"not a Groebner basis: pair ({i}, {j}) "
                                  "does not reduce to zero")
-        self._transcripts[(i, j)] = rec
+            self._transcripts[(i, j)] = rec
         return rec
 
     def spair_transcripts(self) -> dict[tuple[int, int], DivisionRecord]:
@@ -128,21 +130,12 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
 
 
 def is_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder):
-    """Buchberger's criterion: (all S-pairs reduce to zero, transcripts)."""
+    """Buchberger's criterion: (all S-pairs reduce to zero, S-pair records)."""
     gb = GroebnerBasis(gens, order)
-    records: dict[tuple[int, int], DivisionRecord] = {}
-    ok = True
-    n = len(gb.generators)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if exp_coprime(gb.leading_exponents[i], gb.leading_exponents[j]):
-                records[(i, j)] = gb.transcript(i, j)
-                continue
-            rec = divide(s_polynomial(gb[i], gb[j], order), gb.generators, order)
-            records[(i, j)] = rec
-            if rec.remainder:
-                ok = False
-    return ok, records
+    n = len(gb)
+    records = {(i, j): gb._spair_record(i, j)
+               for i in range(n) for j in range(i + 1, n)}
+    return all(not rec.remainder for rec in records.values()), records
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:

@@ -279,7 +279,6 @@ class DivisionRecord:
 
     quotients: tuple[Polynomial, ...]
     remainder: Polynomial
-    divisor_ids: tuple[int, ...]
     via_coprime_criterion: bool = False
 
     def check(self, dividend: Polynomial, divisors: Sequence[Polynomial],
@@ -299,8 +298,8 @@ class DivisionRecord:
         return True
 
 
-def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder,
-           divisor_ids: tuple[int, ...] | None = None) -> DivisionRecord:
+def divide(f: Polynomial, divisors: Sequence[Polynomial],
+           order: MonomialOrder) -> DivisionRecord:
     """Multivariate division of f by an ordered divisor list.
 
     Deterministic: each step reduces by the first divisor whose leading
@@ -336,13 +335,10 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder,
         else:
             rem[lm] = lc
             del p[lm]
-    if divisor_ids is None:
-        divisor_ids = tuple(range(len(divisors)))
     return DivisionRecord(
         tuple(Polynomial._raw(f.variables, {e: c for e, c in q.items() if c})
               for q in quots),
         Polynomial._raw(f.variables, rem),
-        divisor_ids,
     )
 
 

@@ -1,12 +1,13 @@
 """Schreyer syzygies, graded free resolutions, minimalization, Betti numbers.
 
 The resolution is built level by level.  A Groebner basis of the ideal gives
-the first differential; the reduction transcript of each S-pair yields a
-generating set of the syzygy module which is again a Groebner basis with
-respect to the order induced on positions by the parent leading terms, so
-the construction iterates without ever running a module Buchberger
-completion.  Minimalization then cancels unit entries of the differentials
-to split off trivial summands; the surviving ranks are the Betti numbers.
+the first differential; the reduction transcript of each S-pair
+(``GroebnerBasis.transcript`` at the first level) yields a generating set of
+the syzygy module which is again a Groebner basis with respect to the order
+induced on positions by the parent leading terms, so the construction
+iterates without ever running a module Buchberger completion.
+Minimalization then cancels unit entries of the differentials to split off
+trivial summands; the surviving ranks are the Betti numbers.
 """
 
 from __future__ import annotations
@@ -17,28 +18,20 @@ from typing import Sequence
 
 from .groebner import GroebnerBasis, buchberger
 from .orders import MonomialOrder
-from .poly import (Polynomial, exp_add, exp_coprime, exp_divides, exp_lcm,
-                   exp_sub, weighted_degree)
+from .poly import (Polynomial, exp_add, exp_divides, exp_lcm, exp_sub,
+                   weighted_degree)
 from .toric import GradedIdealPresentation, MonomialCurve, defining_ideal, monomial_curve
 
 
 # ---- orders on free-module monomials (position, exponent vector) ----------
+#
+# A module order is a key function on module monomials: the monomial with
+# the larger key is the larger one.
 
-class _RankOneOrder:
-    """Module order on R^1: compare the ring monomials."""
-
-    __slots__ = ("ring_order",)
-
-    def __init__(self, ring_order: MonomialOrder):
-        self.ring_order = ring_order
-
-    def compare(self, a, b) -> int:
-        c = self.ring_order.compare(a[1], b[1])
-        if c:
-            return c
-        if a[0] != b[0]:
-            return 1 if a[0] < b[0] else -1
-        return 0
+def _rank_one_key(ring_order: MonomialOrder):
+    """Module order on R^1: the ring order, ties going to the smaller position."""
+    ring_key = ring_order.key
+    return lambda mm: (ring_key(mm[1]), -mm[0])
 
 
 class SchreyerOrder:
@@ -49,24 +42,16 @@ class SchreyerOrder:
     generators of the syzygy module are already a Groebner basis.
     """
 
-    __slots__ = ("parent", "leads")
+    __slots__ = ("parent_key", "leads")
 
-    def __init__(self, parent, leads):
-        self.parent = parent
+    def __init__(self, parent_key, leads):
+        self.parent_key = parent_key
         self.leads = tuple(leads)
 
-    def compare(self, a, b) -> int:
-        pa, ua = a
-        pb, ub = b
-        la = self.leads[pa]
-        lb = self.leads[pb]
-        c = self.parent.compare((la[0], exp_add(ua, la[1])),
-                                (lb[0], exp_add(ub, lb[1])))
-        if c:
-            return c
-        if pa != pb:
-            return 1 if pa < pb else -1
-        return 0
+    def key(self, mm):
+        pos, u = mm
+        lpos, lexp = self.leads[pos]
+        return self.parent_key((lpos, exp_add(u, lexp))), -pos
 
 
 # ---- free module elements --------------------------------------------------
@@ -118,18 +103,15 @@ class FreeModuleElement:
         return FreeModuleElement(
             tuple(p.times_term(coeff, exp) for p in self.coordinates), self.shifts)
 
-    def leading(self, order):
-        """(position, exponents, coefficient) of the largest module monomial."""
-        best = None
-        best_c = None
-        for pos, poly in enumerate(self.coordinates):
-            for exp, c in poly.terms.items():
-                mm = (pos, exp)
-                if best is None or order.compare(mm, best) > 0:
-                    best, best_c = mm, c
+    def leading(self, key):
+        """(position, exponents, coefficient) of the largest module monomial
+        under the module order ``key``."""
+        best = max(((pos, exp) for pos, poly in enumerate(self.coordinates)
+                    for exp in poly.terms), key=key, default=None)
         if best is None:
             raise ValueError("zero element has no leading term")
-        return best[0], best[1], best_c
+        pos, exp = best
+        return pos, exp, self.coordinates[pos].terms[exp]
 
     def degree(self, weights) -> int:
         """Homogeneous degree; raises when coordinates disagree."""
@@ -159,7 +141,7 @@ def _combine(coeffs: Sequence[Polynomial],
     return FreeModuleElement(coords, elements[0].shifts)
 
 
-def _module_divide(f: FreeModuleElement, elements, leads, flat, order):
+def _module_divide(f: FreeModuleElement, elements, leads, flat, key):
     """Divide a vector by monic divisors; returns (quotients, remainder dict).
 
     Same first-match strategy as ring division, restricted to divisors whose
@@ -172,10 +154,7 @@ def _module_divide(f: FreeModuleElement, elements, leads, flat, order):
     quots: list[dict] = [{} for _ in elements]
     rem: dict = {}
     while p:
-        best = None
-        for mm in p:
-            if best is None or order.compare(mm, best) > 0:
-                best = mm
+        best = max(p, key=key)
         c = p[best]
         pos, exp = best
         for k, (dpos, dexp) in enumerate(leads):
@@ -183,12 +162,12 @@ def _module_divide(f: FreeModuleElement, elements, leads, flat, order):
                 qexp = exp_sub(exp, dexp)
                 quots[k][qexp] = quots[k].get(qexp, 0) + c
                 for (tpos, texp), tc in flat[k]:
-                    key = (tpos, exp_add(qexp, texp))
-                    s = p.get(key, 0) - c * tc
+                    mm = (tpos, exp_add(qexp, texp))
+                    s = p.get(mm, 0) - c * tc
                     if s:
-                        p[key] = s
-                    elif key in p:
-                        del p[key]
+                        p[mm] = s
+                    elif mm in p:
+                        del p[mm]
                 break
         else:
             rem[best] = c
@@ -211,12 +190,22 @@ def _syzygy_from_pair(i, j, quotients, leads, elements, shifts) -> FreeModuleEle
     return syz
 
 
-def _level_syzygies(elements, order, shifts, *, rank_one: bool):
-    """All Schreyer tuples of one level, in pair order."""
+def _ring_syzygies(gb: GroebnerBasis, shifts):
+    """Level 1: the Schreyer tuples of the ring S-pair transcripts, in pair order."""
+    elements = [FreeModuleElement((g,), (0,)) for g in gb.generators]
+    leads = [(0, exp) for exp in gb.leading_exponents]
+    t = len(elements)
+    return leads, [_syzygy_from_pair(i, j, gb.transcript(i, j).quotients,
+                                     leads, elements, shifts)
+                   for i in range(t) for j in range(i + 1, t)]
+
+
+def _level_syzygies(elements, key, shifts):
+    """All Schreyer tuples of one module level (2 and up), in pair order."""
     t = len(elements)
     leads = []
     for e in elements:
-        pos, exp, c = e.leading(order)
+        pos, exp, c = e.leading(key)
         if c != 1:
             raise AssertionError("level elements must be monic")
         leads.append((pos, exp))
@@ -224,49 +213,33 @@ def _level_syzygies(elements, order, shifts, *, rank_one: bool):
                   for pos, poly in enumerate(e.coordinates)
                   for exp, c in poly.terms.items())
             for e in elements]
-    ambient = elements[0].coordinates[0].variables
     out = []
     for i in range(t):
         for j in range(i + 1, t):
             if leads[i][0] != leads[j][0]:
                 continue
-            if rank_one and exp_coprime(leads[i][1], leads[j][1]):
-                # closed-form transcript for coprime leading monomials;
-                # valid in the ring case only
-                gi = elements[i].coordinates[0]
-                gj = elements[j].coordinates[0]
-                lt_i = Polynomial.monomial(ambient, leads[i][1])
-                lt_j = Polynomial.monomial(ambient, leads[j][1])
-                quots = [Polynomial.zero(ambient) for _ in range(t)]
-                quots[i] = -(gj - lt_j)
-                quots[j] = gi - lt_i
-            else:
-                lcm = exp_lcm(leads[i][1], leads[j][1])
-                spair = (elements[i].times_term(1, exp_sub(lcm, leads[i][1]))
-                         .sub(elements[j].times_term(1, exp_sub(lcm, leads[j][1]))))
-                quots, rem = _module_divide(spair, elements, leads, flat, order)
-                if rem:
-                    raise AssertionError("transcript integrity failure: "
-                                         f"pair ({i}, {j}) left a remainder")
+            lcm = exp_lcm(leads[i][1], leads[j][1])
+            spair = (elements[i].times_term(1, exp_sub(lcm, leads[i][1]))
+                     .sub(elements[j].times_term(1, exp_sub(lcm, leads[j][1]))))
+            quots, rem = _module_divide(spair, elements, leads, flat, key)
+            if rem:
+                raise AssertionError("transcript integrity failure: "
+                                     f"pair ({i}, {j}) left a remainder")
             out.append(_syzygy_from_pair(i, j, quots, leads, elements, shifts))
     return leads, out
 
 
 def schreyer_syzygies(gb: GroebnerBasis, weights=None) -> list[FreeModuleElement]:
     """Generators of Syz(g_1, ..., g_t) read off the S-pair transcripts."""
-    t = len(gb.generators)
-    if t <= 1:
+    if len(gb) <= 1:
         return []
     if weights is None:
         weights = (1,) * len(gb.generators[0].variables)
-    elements = [FreeModuleElement((g,), (0,)) for g in gb.generators]
-    order = _RankOneOrder(gb.order)
     shifts = tuple(g.weighted_degree(weights) for g in gb.generators)
-    _, syz = _level_syzygies(elements, order, shifts, rank_one=True)
-    return syz
+    return _ring_syzygies(gb, shifts)[1]
 
 
-def _prune_and_sort(syzygies, order):
+def _prune_and_sort(syzygies, key):
     """Keep a minimal Groebner subset, arranged for the length bound.
 
     A syzygy whose leading monomial is divisible by another kept one at the
@@ -277,7 +250,7 @@ def _prune_and_sort(syzygies, order):
     """
     info = []
     for s in syzygies:
-        pos, exp, c = s.leading(order)
+        pos, exp, c = s.leading(key)
         if c != 1:
             s = s.scale(Fraction(1) / c)
         info.append(((pos, exp), s))
@@ -413,23 +386,17 @@ def free_resolution(pres: GradedIdealPresentation, *,
     nvars = len(variables)
     shifts: list[list[int]] = [[0], [g.weighted_degree(weights) for g in kept]]
     diffs: list[list[list[Polynomial]]] = [[list(kept)]]
-    elements = [FreeModuleElement((g,), (0,)) for g in kept]
-    order_mod = _RankOneOrder(order)
-    while True:
-        leads, syz = _level_syzygies(elements, order_mod, tuple(shifts[-1]),
-                                     rank_one=len(diffs) == 1)
-        if not syz:
-            break
+    key = _rank_one_key(order)
+    leads, syz = _ring_syzygies(GroebnerBasis(kept, order), tuple(shifts[-1]))
+    while syz:
         if len(diffs) >= nvars:
             raise AssertionError("resolution exceeded the variable-count bound")
-        induced = SchreyerOrder(order_mod, leads)
-        nxt = _prune_and_sort(syz, induced)
-        rank = len(elements)
+        key = SchreyerOrder(key, leads).key
+        nxt = _prune_and_sort(syz, key)
         diffs.append([[nxt[c].coordinates[r] for c in range(len(nxt))]
-                      for r in range(rank)])
+                      for r in range(len(shifts[-1]))])
         shifts.append([s.degree(weights) for s in nxt])
-        elements = nxt
-        order_mod = induced
+        leads, syz = _level_syzygies(nxt, key, tuple(shifts[-1]))
     ranks = [len(s) for s in shifts]
     return GradedResolution(ranks, shifts, diffs, variables, weights)
 

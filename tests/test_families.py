@@ -1,11 +1,12 @@
 import json
+from math import gcd
 
 import pytest
 
 from monocurves import (buchberger, bresinsky_generators, bresinsky_order,
                         bresinsky_sequence, concatenation_semigroup, eta_check,
-                        family_sweep, parametrization_kernel, sweep_to_jsonl,
-                        sweep_to_text, verify_bresinsky)
+                        families, family_sweep, parametrization_kernel,
+                        sweep_to_jsonl, sweep_to_text, verify_bresinsky)
 from monocurves.toric import GradedIdealPresentation
 
 
@@ -14,6 +15,11 @@ def test_sequence_values():
     assert (inst.q1, inst.d1) == (5, 3)
     assert inst.n == (20, 15, 23, 12)
     assert bresinsky_sequence(6).n == (42, 35, 47, 30)
+
+
+def test_sequence_gcd_is_one():
+    for q2 in range(4, 401, 2):
+        assert gcd(*bresinsky_sequence(q2).n) == 1
 
 
 def test_sequence_validation():
@@ -132,6 +138,17 @@ def test_concatenation_sweep_records_errors():
     assert rows[2]["error"] is None
     assert rows[2]["eta_ok"]
     assert rows[2]["beta"][0] == rows[2]["beta1"]
+
+
+def test_sweep_propagates_broken_invariants(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("syzygy does not annihilate the basis")
+
+    monkeypatch.setattr(families, "_curve_row", broken)
+    with pytest.raises(AssertionError):
+        family_sweep("bresinsky", [4])
+    with pytest.raises(AssertionError):
+        family_sweep("concatenation", [(5, 3, 19, 3)])
 
 
 def test_sweep_serialization():

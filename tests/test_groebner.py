@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from monocurves import (ComputationLimitExceeded, MonomialOrder,
-                        Polynomial, buchberger, homogenize_basis,
-                        is_groebner_basis, normal_form, parametrization_kernel,
-                        parse_polynomial, reduce_basis)
+from monocurves import (ComputationLimitExceeded, GroebnerBasis,
+                        MonomialOrder, Polynomial, buchberger,
+                        homogenize_basis, is_groebner_basis, normal_form,
+                        parametrization_kernel, parse_polynomial, reduce_basis)
 from monocurves.families import bresinsky_generators, bresinsky_order, bresinsky_sequence
 
 XY = ("x0", "x1")
@@ -104,6 +104,23 @@ def test_transcripts_reconstruct_spairs():
             lf = gb[i].leading(LEX2)[0]
             lg = gb[j].leading(LEX2)[0]
             assert not any(a and b for a, b in zip(lf, lg))
+
+
+def test_criterion_records_are_the_transcripts():
+    gens = [p("x0^2 - x1"), p("x0*x1 - 1")]
+    gb = buchberger(gens, LEX2)
+    ok, records = is_groebner_basis(gb.generators, LEX2)
+    assert ok and records == gb.spair_transcripts()
+    # on a non-basis, exactly the pairs left with a remainder have no transcript
+    ok, records = is_groebner_basis(gens, LEX2)
+    assert not ok
+    non_basis = GroebnerBasis(gens, LEX2)
+    for (i, j), rec in records.items():
+        if rec.remainder:
+            with pytest.raises(ValueError):
+                non_basis.transcript(i, j)
+        else:
+            assert non_basis.transcript(i, j) == rec
 
 
 def test_criterion_sound_on_random_ideals():
