@@ -140,7 +140,7 @@ def _cmd_groebner(args):
 def _cmd_resolution(args):
     curve = _curve(args.generators, args)
     pres = defining_ideal(curve, max_basis=args.max_gb)
-    res = free_resolution(pres, max_basis=args.max_gb)
+    res = free_resolution(pres)
     if not args.non_minimal:
         res = minimalize(res)
     payload = res.to_json_dict()
@@ -301,6 +301,9 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"error: internal invariant broken: {exc}", file=sys.stderr)
+        return 3
     if args.format == "json":
         payload = {"schema": SCHEMA, "command": args.command, **payload}
         print(json.dumps(payload, sort_keys=True))

@@ -105,7 +105,7 @@ def verify_bresinsky(inst: BresinskyInstance, *,
     generates = (all(not kernel_gb.normal_form(g) for g in gens)
                  and all(not s_gb.normal_form(g) for g in kernel.generators))
 
-    betti = tuple(minimalize(free_resolution(kernel, max_basis=max_basis)).betti)
+    betti = tuple(minimalize(free_resolution(kernel)).betti)
     expected = (2 * inst.q2, 4 * (inst.q2 - 1), 2 * inst.q2 - 3)
     return BresinskyReport(generates, ok_gb, betti == expected, betti, expected)
 
@@ -148,7 +148,7 @@ def concatenation_semigroup(a: int, d: int, b: int, p: int):
 def _curve_row(sorted_gens: Sequence[int], *, max_basis: int | None = None) -> dict:
     semigroup = NumericalSemigroup(sorted_gens)
     pres = parametrization_kernel(semigroup.minimal_generators, max_basis=max_basis)
-    res = minimalize(free_resolution(pres, max_basis=max_basis))
+    res = minimalize(free_resolution(pres))
     return {
         "beta": res.betti,
         "beta1": res.betti[0],

@@ -84,14 +84,14 @@ class GroebnerBasis:
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
-               use_coprime_criterion: bool = True,
                max_basis: int | None = None) -> GroebnerBasis:
     """Complete gens to a Groebner basis.
 
     Input generators are kept (made monic) and completions are appended, so
     a set that already is a Groebner basis comes back unchanged.  Pair
     selection is the normal strategy: least lcm total degree first, ties by
-    pair index, which makes runs reproducible.
+    pair index, which makes runs reproducible.  Pairs with coprime leading
+    monomials are skipped: their S-polynomial always reduces to zero.
     """
     gens = list(gens)
     if not gens:
@@ -110,7 +110,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
             heapq.heappush(pairs, (sum(exp_lcm(leads[i], leads[j])), i, j))
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        if use_coprime_criterion and exp_coprime(leads[i], leads[j]):
+        if exp_coprime(leads[i], leads[j]):
             continue
         s = s_polynomial(basis[i], basis[j], order)
         if not s:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .groebner import GroebnerBasis, buchberger
+from .groebner import GroebnerBasis
 from .orders import MonomialOrder
 from .poly import (Polynomial, exp_add, exp_divides, exp_lcm, exp_sub,
                    weighted_degree)
@@ -239,17 +239,17 @@ def schreyer_syzygies(gb: GroebnerBasis, weights=None) -> list[FreeModuleElement
     return _ring_syzygies(gb, shifts)[1]
 
 
-def _prune_and_sort(syzygies, key):
+def _prune_and_sort(elements, key):
     """Keep a minimal Groebner subset, arranged for the length bound.
 
-    A syzygy whose leading monomial is divisible by another kept one at the
-    same position is redundant as a basis element.  Survivors are sorted by
-    position, then by descending plain-lex leading exponent; with that
-    arrangement each level drops one more variable from the leading
-    monomials, which caps the resolution length by the variable count.
+    An element whose leading monomial is divisible by another kept one at
+    the same position is redundant.  Survivors are sorted by position, then
+    by descending plain-lex leading exponent; with that arrangement each
+    level drops one more variable from the leading monomials, which caps
+    the resolution length by the variable count.
     """
     info = []
-    for s in syzygies:
+    for s in elements:
         pos, exp, c = s.leading(key)
         if c != 1:
             s = s.scale(Fraction(1) / c)
@@ -357,14 +357,13 @@ def _constant_value(poly: Polynomial):
     return c
 
 
-def free_resolution(pres: GradedIdealPresentation, *,
-                    max_basis: int | None = None) -> GradedResolution:
+def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
     """Schreyer resolution of R/I from a graded presentation of I.
 
-    The presentation generators are completed to a Groebner basis, pruned to
-    a minimal one, and sorted; each further level is the pruned set of
-    Schreyer syzygies of the previous, which the induced order keeps a
-    Groebner basis, so iteration stops at the variable-count bound.
+    The generators must be a Groebner basis for ``pres.order`` (ValueError
+    otherwise).  Each level, they and then the Schreyer syzygies of the
+    previous one (a Groebner basis in the induced order), is pruned to a
+    minimal basis and sorted, so iteration stops at the variable-count bound.
     """
     variables, weights = pres.variables, pres.weights
     for g in pres.generators:
@@ -372,22 +371,18 @@ def free_resolution(pres: GradedIdealPresentation, *,
             raise ValueError(f"non-homogeneous generator {g}")
     if not pres.generators:
         return GradedResolution([1], [[0]], [], variables, weights)
-    gb = buchberger(pres.generators, pres.order, max_basis=max_basis)
-    order = pres.order
-    by_lead = sorted(gb.generators, key=lambda g: order.key(g.leading(order)[0]))
-    kept: list[Polynomial] = []
-    for g in by_lead:
-        lead = g.leading(order)[0]
-        if any(exp_divides(h.leading(order)[0], lead) for h in kept):
-            continue
-        kept.append(g)
-    kept.sort(key=lambda g: (tuple(-e for e in g.leading(order)[0]), g.sort_key()))
+    key = _rank_one_key(pres.order)
+    rank_one = [FreeModuleElement((g,), (0,)) for g in pres.generators]
+    kept = [e.coordinates[0] for e in _prune_and_sort(rank_one, key)]
+    gb = GroebnerBasis(kept, pres.order)
+    # gb must span every generator; the level-1 transcripts check it is a basis
+    if any(gb.normal_form(g) for g in pres.generators):
+        raise ValueError("presentation generators are not a Groebner basis")
 
     nvars = len(variables)
-    shifts: list[list[int]] = [[0], [g.weighted_degree(weights) for g in kept]]
-    diffs: list[list[list[Polynomial]]] = [[list(kept)]]
-    key = _rank_one_key(order)
-    leads, syz = _ring_syzygies(GroebnerBasis(kept, order), tuple(shifts[-1]))
+    shifts: list[list[int]] = [[0], [g.weighted_degree(weights) for g in gb]]
+    diffs: list[list[list[Polynomial]]] = [[list(gb.generators)]]
+    leads, syz = _ring_syzygies(gb, tuple(shifts[-1]))
     while syz:
         if len(diffs) >= nvars:
             raise AssertionError("resolution exceeded the variable-count bound")
@@ -475,5 +470,5 @@ def betti_numbers(curve, *, max_basis: int | None = None) -> list[int]:
     if not isinstance(curve, MonomialCurve):
         curve = monomial_curve(tuple(curve))
     pres = defining_ideal(curve, max_basis=max_basis)
-    res = free_resolution(pres, max_basis=max_basis)
+    res = free_resolution(pres)
     return minimalize(res).betti

@@ -42,6 +42,7 @@ class GradedIdealPresentation:
     ``generators`` form a Groebner basis with respect to ``order`` unless
     the presentation was minimalized, in which case they are merely a
     minimal generating set and ``beta1`` holds their count.
+    ``free_resolution`` takes only the basis, raising ValueError otherwise.
     """
     variables: tuple[str, ...]
     weights: tuple[int, ...]

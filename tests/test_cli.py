@@ -131,6 +131,19 @@ def test_guard_exit_code(capsys):
     assert code == 2  # too many variables
 
 
+def test_broken_invariant_exit_code(capsys, monkeypatch):
+    from monocurves import families
+
+    def broken(*args, **kwargs):
+        raise AssertionError("syzygy does not annihilate the basis")
+
+    monkeypatch.setattr(families, "_curve_row", broken)
+    assert main(["concat-sweep", "--a", "5", "--d", "3", "--b", "19"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error: internal invariant broken: "
+                   "syzygy does not annihilate the basis\n")
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["semigroup"]) == 1
     capsys.readouterr()

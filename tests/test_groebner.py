@@ -7,6 +7,7 @@ from monocurves import (ComputationLimitExceeded, GroebnerBasis,
                         homogenize_basis, is_groebner_basis, normal_form,
                         parametrization_kernel, parse_polynomial, reduce_basis)
 from monocurves.families import bresinsky_generators, bresinsky_order, bresinsky_sequence
+from monocurves.poly import divide, exp_coprime, s_polynomial
 
 XY = ("x0", "x1")
 LEX2 = MonomialOrder.lex(2)
@@ -159,14 +160,22 @@ def test_binomial_closure_during_elimination():
         assert sorted(g.terms.values()) == [-1, 1]
 
 
-def test_coprime_criterion_equivalence():
-    pres = parametrization_kernel((3, 5, 7))
-    with_skip = buchberger(list(pres.generators), pres.order,
-                           use_coprime_criterion=True)
-    without = buchberger(list(pres.generators), pres.order,
-                         use_coprime_criterion=False)
-    assert (reduce_basis(with_skip).generators
-            == reduce_basis(without).generators)
+def test_coprime_pairs_reduce_to_zero():
+    # the pairs buchberger skips by the coprime criterion do reduce to zero
+    # against its output
+    checked = 0
+    for gens in [(3, 5, 7), (4, 6, 7), (12, 15, 20, 23)]:
+        pres = parametrization_kernel(gens)
+        order = MonomialOrder.grevlex(len(gens))
+        gb = buchberger(list(pres.generators), order)
+        leads = gb.leading_exponents
+        for i in range(len(gb)):
+            for j in range(i + 1, len(gb)):
+                if exp_coprime(leads[i], leads[j]):
+                    s = s_polynomial(gb[i], gb[j], order)
+                    assert not divide(s, gb.generators, order).remainder
+                    checked += 1
+    assert checked
 
 
 def test_max_basis_guard():

@@ -152,6 +152,47 @@ def test_inhomogeneous_presentation_rejected():
         free_resolution(pres)
 
 
+def test_non_basis_presentation_rejected():
+    # x0^3 - x1^3 is not in the ideal of x0^2 - x1^2, whose leading
+    # monomial divides its own: pruning alone would resolve a smaller ideal
+    variables = ("x0", "x1")
+    order = MonomialOrder.grevlex(2)
+    pres = GradedIdealPresentation(
+        variables, (1, 1), order,
+        (parse_polynomial("x0^2 - x1^2", variables),
+         parse_polynomial("x0^3 - x1^3", variables)))
+    with pytest.raises(ValueError):
+        free_resolution(pres)
+    completed = GradedIdealPresentation(
+        variables, (1, 1), order, buchberger(pres.generators, order).generators)
+    assert minimalize(free_resolution(completed)).betti == [2, 1]
+
+
+def test_minimal_generators_are_not_resolvable():
+    with pytest.raises(ValueError):
+        free_resolution(minimal_generators(parametrization_kernel((4, 6, 7))))
+
+
+def test_last_module_is_the_type():
+    # the last free module of the minimal resolution of k[S] has rank the
+    # type |PF(S)| and shifts f + sum(n) for f in PF(S); rank one exactly
+    # when S is symmetric (Kunz 1970)
+    from monocurves import delta_prime, new_semigroup
+
+    curves = [(a, b, c) for c in range(4, 13) for b in range(3, c) for a in range(2, b)
+              if gcd(gcd(a, b), c) == 1
+              and new_semigroup((a, b, c)).minimal_generators == (a, b, c)]
+    curves += [(5, 7, 9, 11), (12, 15, 20, 23), (4, 5, 6, 7), (5, 6, 7, 8, 9)]
+    assert len(curves) == 61
+    for gens in curves:
+        s = new_semigroup(gens)
+        pf = delta_prime(s)
+        res = minimalize(free_resolution(parametrization_kernel(gens)))
+        assert res.betti[-1] == len(pf), gens
+        assert sorted(res.shifts[-1]) == sorted(f + sum(gens) for f in pf), gens
+        assert (res.betti[-1] == 1) == s.is_symmetric(), gens
+
+
 def test_export_formats_deterministic():
     pres = parametrization_kernel((3, 5, 7))
     a = minimalize(free_resolution(pres)).to_json_dict()
