@@ -6,8 +6,8 @@ import heapq
 from typing import Iterable, Sequence
 
 from .orders import MonomialOrder
-from .poly import (DivisionRecord, Polynomial, divide, exp_coprime, exp_lcm,
-                   s_polynomial)
+from .poly import (DivisionRecord, Polynomial, divide, exp_coprime,
+                   exp_divides, exp_lcm, s_polynomial)
 
 
 class ComputationLimitExceeded(RuntimeError):
@@ -30,7 +30,6 @@ class GroebnerBasis:
             raise ValueError("zero polynomial in basis")
         self.generators = tuple(g.monic(order) for g in gens)
         self.order = order
-        self._leads = tuple(g.leading(order)[0] for g in self.generators)
         self._transcripts: dict[tuple[int, int], DivisionRecord] = {}
 
     def __len__(self):
@@ -44,7 +43,7 @@ class GroebnerBasis:
 
     @property
     def leading_exponents(self):
-        return self._leads
+        return tuple(g.leading(self.order)[0] for g in self.generators)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if not self.generators:
@@ -56,10 +55,11 @@ class GroebnerBasis:
 
     def _spair_record(self, i: int, j: int) -> DivisionRecord:
         gi, gj = self.generators[i], self.generators[j]
-        if not exp_coprime(self._leads[i], self._leads[j]):
+        lead_i, lead_j = gi.leading(self.order)[0], gj.leading(self.order)[0]
+        if not exp_coprime(lead_i, lead_j):
             return divide(s_polynomial(gi, gj, self.order), self.generators, self.order)
-        lt_i = Polynomial.monomial(gi.variables, self._leads[i])
-        lt_j = Polynomial.monomial(gj.variables, self._leads[j])
+        lt_i = Polynomial.monomial(gi.variables, lead_i)
+        lt_j = Polynomial.monomial(gj.variables, lead_j)
         quots = [Polynomial.zero(gi.variables) for _ in self.generators]
         quots[i] = -(gj - lt_j)
         quots[j] = gi - lt_i
@@ -103,15 +103,19 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
         if g.variables != ambient:
             raise ValueError("generators live in different ambients")
     basis = [g.monic(order) for g in gens]
-    leads = [g.leading(order)[0] for g in basis]
     pairs: list[tuple[int, int, int]] = []
-    for j in range(len(basis)):
-        for i in range(j):
-            heapq.heappush(pairs, (sum(exp_lcm(leads[i], leads[j])), i, j))
+
+    def add_pairs(k):
+        lead_k = basis[k].leading(order)[0]
+        for i in range(k):
+            lead_i = basis[i].leading(order)[0]
+            if not exp_coprime(lead_i, lead_k):
+                heapq.heappush(pairs, (sum(exp_lcm(lead_i, lead_k)), i, k))
+
+    for k in range(len(basis)):
+        add_pairs(k)
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        if exp_coprime(leads[i], leads[j]):
-            continue
         s = s_polynomial(basis[i], basis[j], order)
         if not s:
             continue
@@ -122,10 +126,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
             raise ComputationLimitExceeded(
                 f"Groebner basis exceeded {max_basis} elements")
         basis.append(r.monic(order))
-        leads.append(r.leading(order)[0])
-        k = len(basis) - 1
-        for i2 in range(k):
-            heapq.heappush(pairs, (sum(exp_lcm(leads[i2], leads[k])), i2, k))
+        add_pairs(len(basis) - 1)
     return GroebnerBasis(basis, order)
 
 
@@ -149,29 +150,17 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     if not gb.generators:
         return gb
     # drop generators whose leading monomial another one divides
-    by_lead = sorted(range(len(gb.generators)),
-                     key=lambda k: order.key(gb.leading_exponents[k]))
     kept: list[Polynomial] = []
-    kept_leads: list[tuple] = []
-    for k in by_lead:
-        lead = gb.leading_exponents[k]
-        if any(all(a <= b for a, b in zip(kl, lead)) for kl in kept_leads):
-            continue
-        kept.append(gb.generators[k])
-        kept_leads.append(lead)
-    # tail-reduce until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1:]
-            if not others:
-                continue
-            r = divide(kept[i], others, order).remainder.monic(order)
-            if r != kept[i]:
-                kept[i] = r
-                changed = True
-    kept.sort(key=lambda g: order.key(g.leading(order)[0]))
+    for g in sorted(gb.generators, key=lambda g: order.key(g.leading(order)[0])):
+        lead = g.leading(order)[0]
+        if not any(exp_divides(h.leading(order)[0], lead) for h in kept):
+            kept.append(g)
+    # one tail-reduction pass: reduction never moves a leading monomial, so
+    # an element stays reduced when the others are reduced after it
+    for i in range(len(kept)):
+        others = kept[:i] + kept[i + 1:]
+        if others:
+            kept[i] = divide(kept[i], others, order).remainder.monic(order)
     return GroebnerBasis(kept, order)
 
 

@@ -42,10 +42,11 @@ class Polynomial:
 
     ``variables`` names the ambient ring; two polynomials interoperate only
     when their ambients coincide.  The term map never stores zeros, so
-    structural equality of the maps is polynomial equality.
+    structural equality of the maps is polynomial equality.  ``leading``
+    remembers its answer in one store; threads that race store equal values.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_lead")
 
     def __init__(self, variables: Sequence[str], terms: Mapping | None = None):
         variables = tuple(variables)
@@ -73,6 +74,10 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # the remembered leading term holds an order, whose key does not pickle
+        return Polynomial, (self.variables, self.terms)
 
     # ---- constructors --------------------------------------------------
 
@@ -224,18 +229,19 @@ class Polynomial:
     # ---- order-dependent views ------------------------------------------
 
     def leading(self, order: MonomialOrder):
-        """(leading exponent vector, leading coefficient) under order."""
+        """(leading exponent vector, leading coefficient) under order,
+        remembered until an order other than this object (by identity) asks."""
+        lead = getattr(self, "_lead", None)
+        if lead is not None and lead[0] is order:
+            return lead[1], lead[2]
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         if order.nvars != len(self.variables):
             raise ValueError("order arity does not match ambient")
         exp = max(self.terms, key=order.key)
-        return exp, self.terms[exp]
-
-    def leading_data(self, order: MonomialOrder):
-        """(Lm exponents, Lc, Lt) where Lt is the one-term polynomial Lc*Lm."""
-        exp, c = self.leading(order)
-        return exp, c, Polynomial._raw(self.variables, {exp: c})
+        c = self.terms[exp]
+        object.__setattr__(self, "_lead", (order, exp, c))
+        return exp, c
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
         _, c = self.leading(order)

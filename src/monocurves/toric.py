@@ -40,7 +40,7 @@ class GradedIdealPresentation:
     """Weighted-homogeneous generators of an ideal, with their grading.
 
     ``generators`` form a Groebner basis with respect to ``order`` unless
-    the presentation was minimalized, in which case they are merely a
+    ``minimal_generators`` built the presentation: then they are merely a
     minimal generating set and ``beta1`` holds their count.
     ``free_resolution`` takes only the basis, raising ValueError otherwise.
     """
@@ -48,7 +48,6 @@ class GradedIdealPresentation:
     weights: tuple[int, ...]
     order: MonomialOrder
     generators: tuple[Polynomial, ...]
-    minimal: bool = False
     beta1: int | None = None
 
     def groebner_basis(self) -> GroebnerBasis:
@@ -129,8 +128,7 @@ def minimal_generators(pres: GradedIdealPresentation) -> GradedIdealPresentation
         retained.append(g)
         seed = list(gb.generators) + [g] if gb is not None else [g]
         gb = buchberger(seed, pres.order)
-    return replace(pres, generators=tuple(retained), minimal=True,
-                   beta1=len(retained))
+    return replace(pres, generators=tuple(retained), beta1=len(retained))
 
 
 def eta_check(pres: GradedIdealPresentation,

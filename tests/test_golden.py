@@ -49,6 +49,12 @@ GOLDEN = {
         "5db64fb8339137b9924ce3020553696f362b0a1098844498fb82f8d477c60381",
     "concat-sweep --a 5 --d 3 --b 17:20":
         "47f3e6f18ca45515328472db280ca9d9011d8cea95074aeb928771b76ede9f8f",
+    "groebner --order grevlex 12 15 20 23":
+        "5b3864599eb9b9f89976f5cc26e37e935b0e68bfad8608e55de4f01e12b4bd90",
+    "groebner --order grlex --perm 2,1,0,3 5 7 9 11":
+        "576bc8150cbe4c4f0779c3f61340ba5fbe4c28945c25a9ac2a4e6f0798a1701f",
+    "homogenize 3 4 5":
+        "a553dd9c58dca0d555859b2bb642b4479f749100003d17b5a44870131fc06c32",
 }
 
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -61,17 +62,68 @@ def test_substitute_eta_vanishing():
 
 
 def test_leading_data():
-    f = p("x0^3 - x1^2")
-    exp, c, lt = f.leading_data(LEX2)
-    assert exp == (3, 0) and c == 1 and lt == p("x0^3")
-    exp, c, _ = p("5*x1^2").leading_data(LEX2)
-    assert exp == (0, 2) and c == 5
+    assert p("x0^3 - x1^2").leading(LEX2) == ((3, 0), 1)
+    assert p("5*x1^2").leading(LEX2) == ((0, 2), 5)
     vars4 = ("x1", "x2", "x3", "x4")
     g2 = parse_polynomial("x3*x4 - x2*x1", vars4)
     order = MonomialOrder.lex(4, perm=(2, 1, 0, 3))
     assert g2.leading(order)[0] == (0, 0, 1, 1)
     with pytest.raises(ValueError):
         Polynomial.zero(XY).leading(LEX2)
+
+
+def counting_key(order):
+    """Replace the key of a (frozen) order by a wrapper; return its call list."""
+    key, calls = order.key, []
+
+    def counted(u):
+        calls.append(u)
+        return key(u)
+
+    object.__setattr__(order, "key", counted)
+    return calls
+
+
+def test_divide_ranks_each_divisor_once():
+    order = MonomialOrder.grevlex(2)
+    calls = counting_key(order)
+    divisors = [p("x0^2*x1 - x1^3 + 2"), p("x0*x1^2 - x0 + x1"), p("x1^4 - 3*x0")]
+    f = p("x0^5*x1^3 + 3*x0^2*x1^4 - x1 + 7")
+    costs, records = [], []
+    for _ in range(2):
+        before = len(calls)
+        records.append(divide(f, divisors, order))
+        costs.append(len(calls) - before)
+    assert records[0] == records[1]
+    assert costs[0] - costs[1] == sum(len(g.terms) for g in divisors)
+
+
+def test_leading_is_remembered_per_order_object():
+    rng = random.Random(7)
+    grevlex = MonomialOrder.grevlex(2, perm=(1, 0))
+    twin = MonomialOrder.lex(2)
+    assert twin == LEX2 and twin is not LEX2
+    twin_calls = counting_key(twin)
+
+    def uncached(f, order):
+        exp = max(f.terms, key=order.key)
+        return exp, f.terms[exp]
+
+    checked = 0
+    for _ in range(40):
+        f = random_poly(rng, nterms=6)
+        if not f:
+            continue
+        for order in (LEX2, grevlex, LEX2, twin, LEX2, grevlex, twin):
+            before = len(twin_calls)
+            assert f.leading(order) == uncached(f, order)
+            if order is twin:
+                # an equal but distinct order object ranks the terms afresh
+                assert len(twin_calls) - before == 2 * len(f.terms)
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and g.leading(grevlex) == f.leading(grevlex)
+        checked += 1
+    assert checked
 
 
 def test_ambient_mismatch():
