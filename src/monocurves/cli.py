@@ -9,12 +9,12 @@ import sys
 from .derivations import derivation_rank
 from .families import (bresinsky_generators, bresinsky_sequence, family_sweep,
                        sweep_to_text, verify_bresinsky)
-from .groebner import (ComputationLimitExceeded, buchberger, homogenize_basis,
-                       reduce_basis)
+from .groebner import (ComputationLimitExceeded, GroebnerBasis, buchberger,
+                       homogenize_basis, reduce_basis)
 from .orders import MonomialOrder
 from .resolution import betti_numbers, free_resolution, minimalize
 from .semigroup import NumericalSemigroup
-from .toric import defining_ideal, minimal_generators, monomial_curve
+from .toric import MonomialCurve, defining_ideal, minimal_generators
 
 SCHEMA = "monocurves/1"
 
@@ -50,9 +50,9 @@ def _semigroup(gens, args) -> NumericalSemigroup:
     return NumericalSemigroup(gens)
 
 
-def _curve(gens, args):
-    semigroup = _semigroup(gens, args)
-    return monomial_curve(semigroup.minimal_generators)
+def _curve(gens, args) -> MonomialCurve:
+    # monomial_curve would build the semigroup again only to validate these
+    return MonomialCurve(_semigroup(gens, args).minimal_generators)
 
 
 def _order_for(args, curve) -> MonomialOrder:
@@ -70,6 +70,13 @@ def _order_for(args, curve) -> MonomialOrder:
     if kind == "weighted":
         return MonomialOrder.weighted(curve.weights, perm)
     raise ValueError(f"unknown order {kind!r}")
+
+
+def _basis_under(order, pres, args) -> GroebnerBasis:
+    # pres carries the reduced basis under its own order; the zero ideal has none
+    if order == pres.order or not pres.generators:
+        return GroebnerBasis(pres.generators, order)
+    return reduce_basis(buchberger(pres.generators, order, max_basis=args.max_gb))
 
 
 def _parse_range(text: str) -> list[int]:
@@ -121,10 +128,7 @@ def _cmd_groebner(args):
     curve = _curve(args.generators, args)
     pres = defining_ideal(curve, max_basis=args.max_gb)
     order = _order_for(args, curve)
-    if order != pres.order:
-        gb = reduce_basis(buchberger(pres.generators, order, max_basis=args.max_gb))
-    else:
-        gb = pres.groebner_basis()
+    gb = _basis_under(order, pres, args)
     payload = {
         "generators": list(curve.exponents),
         "order": {"kind": order.kind, "perm": list(order.perm),
@@ -207,8 +211,7 @@ def _cmd_derivations(args):
 def _cmd_homogenize(args):
     curve = _curve(args.generators, args)
     pres = defining_ideal(curve, max_basis=args.max_gb)
-    order = MonomialOrder.grevlex(len(curve.variables))
-    gb = reduce_basis(buchberger(pres.generators, order, max_basis=args.max_gb))
+    gb = _basis_under(MonomialOrder.grevlex(len(curve.variables)), pres, args)
     hom = homogenize_basis(gb, args.homvar)
     payload = {
         "generators": list(curve.exponents),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .groebner import ComputationLimitExceeded, buchberger
 from .orders import MonomialOrder
@@ -143,8 +143,7 @@ def concatenation_semigroup(a: int, d: int, b: int, p: int):
     return ConcatenationInstance(a, d, b, p, gens), semigroup
 
 
-def _curve_row(sorted_gens: Sequence[int], *, max_basis: int | None = None) -> dict:
-    semigroup = NumericalSemigroup(sorted_gens)
+def _curve_row(semigroup: NumericalSemigroup, *, max_basis: int | None = None) -> dict:
     pres = parametrization_kernel(semigroup.minimal_generators, max_basis=max_basis)
     res = minimalize(free_resolution(pres))
     return {
@@ -171,7 +170,7 @@ def family_sweep(family: str, params: Iterable, *,
             try:
                 inst = bresinsky_sequence(q2)
                 row["n"] = list(inst.n)
-                row.update(_curve_row(sorted(inst.n), max_basis=max_basis))
+                row.update(_curve_row(NumericalSemigroup(inst.n), max_basis=max_basis))
                 row["error"] = None
             except _ROW_ERRORS as exc:
                 row["error"] = str(exc)
@@ -180,9 +179,9 @@ def family_sweep(family: str, params: Iterable, *,
         for a, d, b, p in params:
             row = {"family": family, "params": {"a": a, "d": d, "b": b, "p": p}}
             try:
-                inst, _ = concatenation_semigroup(a, d, b, p)
+                inst, semigroup = concatenation_semigroup(a, d, b, p)
                 row["n"] = list(inst.generators)
-                row.update(_curve_row(inst.generators, max_basis=max_basis))
+                row.update(_curve_row(semigroup, max_basis=max_basis))
                 row["error"] = None
             except _ROW_ERRORS as exc:
                 row["error"] = str(exc)

@@ -6,7 +6,7 @@ import heapq
 from typing import Iterable, Sequence
 
 from .orders import MonomialOrder
-from .poly import (DivisionRecord, Polynomial, divide, exp_coprime,
+from .poly import (_VARIABLE, DivisionRecord, Polynomial, divide, exp_coprime,
                    exp_divides, exp_lcm, s_polynomial)
 
 
@@ -30,7 +30,6 @@ class GroebnerBasis:
             raise ValueError("zero polynomial in basis")
         self.generators = tuple(g.monic(order) for g in gens)
         self.order = order
-        self._transcripts: dict[tuple[int, int], DivisionRecord] = {}
 
     def __len__(self):
         return len(self.generators)
@@ -69,18 +68,45 @@ class GroebnerBasis:
     def transcript(self, i: int, j: int) -> DivisionRecord:
         if not 0 <= i < j < len(self.generators):
             raise ValueError("transcript wants a pair i < j of basis indices")
-        rec = self._transcripts.get((i, j))
-        if rec is None:
-            rec = self._spair_record(i, j)
-            if rec.remainder:
-                raise ValueError(f"not a Groebner basis: pair ({i}, {j}) "
-                                 "does not reduce to zero")
-            self._transcripts[(i, j)] = rec
+        rec = self._spair_record(i, j)
+        if rec.remainder:
+            raise ValueError(f"not a Groebner basis: pair ({i}, {j}) "
+                             "does not reduce to zero")
         return rec
 
     def spair_transcripts(self) -> dict[tuple[int, int], DivisionRecord]:
         n = len(self.generators)
         return {(i, j): self.transcript(i, j) for i in range(n) for j in range(i + 1, n)}
+
+
+def _complete(basis: list[Polynomial], order: MonomialOrder, first: int,
+              max_basis: int | None = None) -> None:
+    """Complete the monic list basis in place, queueing only the pairs with
+    an element from index first on: basis[:first] is a Groebner basis."""
+    pairs: list[tuple[int, int, int]] = []
+
+    def add_pairs(k):
+        lead_k = basis[k].leading(order)[0]
+        for i in range(k):
+            lead_i = basis[i].leading(order)[0]
+            if not exp_coprime(lead_i, lead_k):
+                heapq.heappush(pairs, (sum(exp_lcm(lead_i, lead_k)), i, k))
+
+    for k in range(first, len(basis)):
+        add_pairs(k)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        s = s_polynomial(basis[i], basis[j], order)
+        if not s:
+            continue
+        r = divide(s, basis, order).remainder
+        if not r:
+            continue
+        if max_basis is not None and len(basis) >= max_basis:
+            raise ComputationLimitExceeded(
+                f"Groebner basis exceeded {max_basis} elements")
+        basis.append(r.monic(order))
+        add_pairs(len(basis) - 1)
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
@@ -98,35 +124,10 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
         raise ValueError("empty generating set")
     if any(not g for g in gens):
         raise ValueError("zero polynomial among generators")
-    ambient = gens[0].variables
-    for g in gens:
-        if g.variables != ambient:
-            raise ValueError("generators live in different ambients")
+    if any(g.variables != gens[0].variables for g in gens):
+        raise ValueError("generators live in different ambients")
     basis = [g.monic(order) for g in gens]
-    pairs: list[tuple[int, int, int]] = []
-
-    def add_pairs(k):
-        lead_k = basis[k].leading(order)[0]
-        for i in range(k):
-            lead_i = basis[i].leading(order)[0]
-            if not exp_coprime(lead_i, lead_k):
-                heapq.heappush(pairs, (sum(exp_lcm(lead_i, lead_k)), i, k))
-
-    for k in range(len(basis)):
-        add_pairs(k)
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
-        s = s_polynomial(basis[i], basis[j], order)
-        if not s:
-            continue
-        r = divide(s, basis, order).remainder
-        if not r:
-            continue
-        if max_basis is not None and len(basis) >= max_basis:
-            raise ComputationLimitExceeded(
-                f"Groebner basis exceeded {max_basis} elements")
-        basis.append(r.monic(order))
-        add_pairs(len(basis) - 1)
+    _complete(basis, order, 0, max_basis)
     return GroebnerBasis(basis, order)
 
 
@@ -168,10 +169,13 @@ def homogenize_basis(gb: GroebnerBasis, homvar: str = "h") -> list[Polynomial]:
     """Homogenize each generator to its total degree with a fresh variable.
 
     Only valid under a degree-compatible order: then the output is again a
-    Groebner basis and cuts out the projective closure.
+    Groebner basis and cuts out the projective closure.  homvar must be a
+    variable name that parse_polynomial reads back: letters, then digits.
     """
     if not gb.order.degree_compatible:
         raise ValueError("homogenization needs a degree-compatible order")
+    if not _VARIABLE.fullmatch(homvar):
+        raise ValueError(f"homogenizing variable {homvar!r} is not a name")
     ambient = gb.generators[0].variables if gb.generators else ()
     if homvar in ambient:
         raise ValueError(f"homogenizing variable {homvar!r} is not fresh")

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 _KINDS = ("lex", "grlex", "grevlex", "weighted", "elim")
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 
 @dataclass(frozen=True)
 class MonomialOrder:
@@ -26,7 +24,8 @@ class MonomialOrder:
 
     Every kind is a total order with 1 as the least monomial and is
     compatible with multiplication, which is what division and Buchberger
-    loops need to terminate.
+    loops need to terminate.  The order is its key function: u < v exactly
+    when key(u) < key(v).
     """
 
     kind: str
@@ -81,7 +80,7 @@ class MonomialOrder:
         return cls("elim", nvars, tuple(perm) if perm else tuple(range(nvars)),
                    tuple(weights) if weights is not None else None, elim)
 
-    # ---- comparison ---------------------------------------------------
+    # ---- key function -------------------------------------------------
 
     def _build_key(self):
         perm = self.perm
@@ -104,17 +103,6 @@ class MonomialOrder:
         return lambda u: (*(u[i] for i in head),
                           sum(u[i] * wi for i, wi in tw),
                           *(-u[i] for i in rev))
-
-    def compare(self, u, v) -> int:
-        """-1, 0 or 1 according to u < v, u == v, u > v."""
-        if len(u) != self.nvars or len(v) != self.nvars:
-            raise ValueError("exponent vector length does not match order")
-        ku, kv = self.key(u), self.key(v)
-        if ku < kv:
-            return LESS
-        if ku > kv:
-            return GREATER
-        return EQUAL
 
     @property
     def degree_compatible(self) -> bool:

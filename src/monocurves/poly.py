@@ -385,7 +385,9 @@ def poly_to_str(f: Polynomial) -> str:
     return "".join(parts)
 
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+\d*|\^|\*|\+|-|/)")
+# homogenize_basis checks its new variable against this, so its output reads back
+_VARIABLE = re.compile(r"[A-Za-z]+\d*")
+_TOKEN = re.compile(rf"\s*(\d+|{_VARIABLE.pattern}|\^|\*|\+|-|/)")
 
 
 def _tokenize(text: str) -> list[str]:

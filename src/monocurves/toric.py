@@ -6,18 +6,21 @@ from dataclasses import dataclass, replace
 from math import gcd
 from typing import Sequence
 
-from .groebner import GroebnerBasis, buchberger, reduce_basis
+from .groebner import GroebnerBasis, _complete, buchberger, reduce_basis
 from .orders import MonomialOrder
-from .poly import Polynomial
+from .poly import Polynomial, divide
 from .semigroup import NumericalSemigroup
 
 
 @dataclass(frozen=True)
 class MonomialCurve:
-    """Affine curve t -> (t^n0, ..., t^np) for a minimal generator sequence."""
+    """Affine curve t -> (t^n0, ..., t^np) for a minimal generator sequence,
+    in the variables x0, ..., xp."""
     exponents: tuple[int, ...]
-    variables: tuple[str, ...]
-    semigroup: NumericalSemigroup
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return tuple(f"x{i}" for i in range(len(self.exponents)))
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -26,13 +29,11 @@ class MonomialCurve:
 
 def monomial_curve(exponents: Sequence[int]) -> MonomialCurve:
     exponents = tuple(exponents)
-    semigroup = NumericalSemigroup(exponents)
-    if semigroup.minimal_generators != exponents:
-        raise ValueError(
-            f"{exponents} is not a sorted minimal generating sequence "
-            f"(minimal system is {semigroup.minimal_generators})")
-    variables = tuple(f"x{i}" for i in range(len(exponents)))
-    return MonomialCurve(exponents, variables, semigroup)
+    minimal = NumericalSemigroup(exponents).minimal_generators
+    if minimal != exponents:
+        raise ValueError(f"{exponents} is not a sorted minimal generating "
+                         f"sequence (minimal system is {minimal})")
+    return MonomialCurve(exponents)
 
 
 @dataclass(frozen=True)
@@ -113,21 +114,22 @@ def minimal_generators(pres: GradedIdealPresentation) -> GradedIdealPresentation
     Generators are scanned by increasing weighted degree and one is dropped
     exactly when it reduces to zero against the ideal of those already
     retained.  Graded Nakayama makes the count independent of tie order.
+    One Groebner basis grows along the scan: only new pairs are completed.
     """
-    weights = pres.weights
+    weights, order = pres.weights, pres.order
     for g in pres.generators:
         if not g.is_weighted_homogeneous(weights):
             raise ValueError(f"non-homogeneous generator {g}")
     ordered = sorted(pres.generators,
                      key=lambda g: (g.weighted_degree(weights), g.sort_key()))
     retained: list[Polynomial] = []
-    gb: GroebnerBasis | None = None
+    basis: list[Polynomial] = []
     for g in ordered:
-        if gb is not None and not gb.normal_form(g):
+        if basis and not divide(g, basis, order).remainder:
             continue
         retained.append(g)
-        seed = list(gb.generators) + [g] if gb is not None else [g]
-        gb = buchberger(seed, pres.order)
+        basis.append(g.monic(order))
+        _complete(basis, order, len(basis) - 1)
     return replace(pres, generators=tuple(retained), beta1=len(retained))
 
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from monocurves import NumericalSemigroup, parse_polynomial
 from monocurves.cli import main
 
 
@@ -98,6 +101,45 @@ def test_homogenize(capsys):
     payload = run_json(capsys, "homogenize", "3", "4", "5")
     assert payload["homvar"] == "h"
     assert any("h" in g for g in payload["basis"])
+
+
+def test_homvar_must_read_back(capsys):
+    # a name the polynomial grammar cannot read back is refused
+    for homvar in ("2", "x-1", "h'", ""):
+        code, out, err = run(capsys, "homogenize", "3", "4", "5", "--homvar", homvar)
+        assert (code, out) == (1, ""), homvar
+        assert err == f"error: homogenizing variable {homvar!r} is not a name\n"
+    payload = run_json(capsys, "homogenize", "3", "4", "5", "--homvar", "z9")
+    for text in payload["basis"]:
+        f = parse_polynomial(text, ("x0", "x1", "x2", "z9"))
+        assert str(f) == text
+
+
+@pytest.mark.parametrize("order", ["lex", "grlex", "grevlex", "weighted"])
+def test_groebner_of_the_zero_ideal(capsys, order):
+    # <1> is the polynomial ring in one variable: its ideal is 0
+    payload = run_json(capsys, "groebner", "1", "--order", order)
+    assert (payload["basis"], payload["size"]) == ([], 0)
+    code, out, _ = run(capsys, "groebner", "1", "--order", order)
+    assert (code, out) == (0, f"reduced Groebner basis ({order}), 0 elements\n")
+
+
+def test_homogenize_the_zero_ideal(capsys):
+    assert run_json(capsys, "homogenize", "1")["basis"] == []
+
+
+@pytest.mark.parametrize("command", ["betti", "ideal", "resolution", "groebner"])
+def test_one_semigroup_per_curve_command(capsys, monkeypatch, command):
+    builds = []
+    init = NumericalSemigroup.__init__
+
+    def counting(self, generators):
+        builds.append(tuple(generators))
+        init(self, generators)
+
+    monkeypatch.setattr(NumericalSemigroup, "__init__", counting)
+    run_json(capsys, command, "9", "5", "7", "11")
+    assert builds == [(9, 5, 7, 11)]
 
 
 def test_concat_sweep(capsys):

@@ -3,10 +3,11 @@ from math import gcd
 
 import pytest
 
-from monocurves import (buchberger, bresinsky_generators, bresinsky_order,
-                        bresinsky_sequence, concatenation_semigroup, eta_check,
-                        families, family_sweep, parametrization_kernel,
-                        sweep_to_jsonl, sweep_to_text, verify_bresinsky)
+from monocurves import (NumericalSemigroup, buchberger, bresinsky_generators,
+                        bresinsky_order, bresinsky_sequence,
+                        concatenation_semigroup, eta_check, families,
+                        family_sweep, parametrization_kernel, sweep_to_jsonl,
+                        sweep_to_text, verify_bresinsky)
 from monocurves.toric import GradedIdealPresentation
 
 
@@ -138,6 +139,24 @@ def test_concatenation_sweep_records_errors():
     assert rows[2]["error"] is None
     assert rows[2]["eta_ok"]
     assert rows[2]["beta"][0] == rows[2]["beta1"]
+
+
+def test_one_semigroup_per_sweep_row(monkeypatch):
+    builds = []
+    init = NumericalSemigroup.__init__
+
+    def counting(self, generators):
+        builds.append(tuple(generators))
+        init(self, generators)
+
+    monkeypatch.setattr(NumericalSemigroup, "__init__", counting)
+    rows = family_sweep("concatenation",
+                        [(5, 3, 9, 3), (5, 3, 19, 3), (7, 3, 12, 3), (6, 5, 20, 4)])
+    assert all(row["error"] is None for row in rows)
+    assert builds == [tuple(row["n"]) for row in rows]
+    builds.clear()
+    family_sweep("bresinsky", [4])
+    assert builds == [(20, 15, 23, 12)]
 
 
 def test_sweep_propagates_broken_invariants(monkeypatch):

@@ -205,6 +205,16 @@ def test_homogenize_requires_graded_order():
         homogenize_basis(gb2, "x0")  # not fresh
 
 
+def test_homogenize_rejects_unreadable_homvar():
+    gb = buchberger([p("x0^3 - x1^2")], MonomialOrder.grevlex(2))
+    for bad in ("2", "x-1", "1h", "h_1", " h", ""):
+        with pytest.raises(ValueError):
+            homogenize_basis(gb, bad)
+    for good in ("h", "T", "t0", "hom12"):
+        hom = homogenize_basis(gb, good)
+        assert parse_polynomial(str(hom[0]), XY + (good,)) == hom[0]
+
+
 def test_groebner_basis_container():
     pres = parametrization_kernel((3, 5, 7))
     gb = pres.groebner_basis()

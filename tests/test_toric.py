@@ -1,11 +1,14 @@
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 
-from monocurves import (GradedIdealPresentation, Polynomial, defining_ideal,
-                        eta_check, minimal_generators, monomial_curve,
-                        parametrization_kernel, parse_polynomial)
+import monocurves.groebner as groebner_module
+from monocurves import (GradedIdealPresentation, Polynomial, buchberger,
+                        defining_ideal, eta_check, minimal_generators,
+                        monomial_curve, new_semigroup, parametrization_kernel,
+                        parse_polynomial)
 from monocurves.poly import weighted_degree
 
 CURVES = [(2, 3), (3, 5, 7), (3, 4, 5), (4, 6, 7), (6, 10, 15), (5, 7, 9, 13)]
@@ -122,3 +125,48 @@ def test_kernel_validation():
         parametrization_kernel(())
     with pytest.raises(ValueError):
         parametrization_kernel((2, 3), ("x0",))
+
+
+def restart_minimal_generators(pres):
+    """The greedy scan with Buchberger rerun from scratch on the retained
+    generators after each one it keeps: the oracle for the growing basis."""
+    weights = pres.weights
+    ordered = sorted(pres.generators,
+                     key=lambda g: (g.weighted_degree(weights), g.sort_key()))
+    retained, gb = [], None
+    for g in ordered:
+        if gb is not None and not gb.normal_form(g):
+            continue
+        retained.append(g)
+        gb = buchberger(retained, pres.order)
+    return tuple(retained)
+
+
+def test_minimal_generators_match_restart_oracle():
+    curves = [(a, b, c) for c in range(4, 16) for b in range(3, c) for a in range(2, b)
+              if gcd(gcd(a, b), c) == 1
+              and new_semigroup((a, b, c)).minimal_generators == (a, b, c)]
+    curves += [(5, 7, 9, 11), (12, 15, 20, 23), (4, 5, 6, 7), (5, 6, 7, 8, 9)]
+    assert len(curves) == 152
+    for gens in curves:
+        pres = parametrization_kernel(gens)
+        mini = minimal_generators(pres)
+        assert mini.generators == restart_minimal_generators(pres), gens
+        assert mini.beta1 == len(mini.generators)
+
+
+def test_minimal_generators_forms_each_pair_once(monkeypatch):
+    # the basis grows: no S-pair of earlier generators is reduced again
+    formed = []
+    s_polynomial = groebner_module.s_polynomial
+
+    def recording(f, g, order):
+        formed.append(tuple(sorted((f.sort_key(), g.sort_key()))))
+        return s_polynomial(f, g, order)
+
+    monkeypatch.setattr(groebner_module, "s_polynomial", recording)
+    for gens in [(5, 7, 9, 11), (12, 15, 20, 23), (5, 6, 7, 8, 9)]:
+        pres = parametrization_kernel(gens)
+        formed.clear()
+        minimal_generators(pres)
+        assert formed and len(set(formed)) == len(formed), gens
