@@ -91,7 +91,7 @@ def verify_bresinsky(inst: BresinskyInstance, *,
     Groebner basis under lex x3 > x2 > x1 > x4, and the minimalized
     resolution has Betti numbers (2*q2, 4*(q2-1), 2*q2-3).  The Betti
     numbers come from the resolution of the kernel computed for the first
-    check, so the elimination runs once.
+    check, so the kernel is computed once.
     """
     gens = bresinsky_generators(inst)
     # buchberger appends to S exactly when some S-pair leaves a remainder

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+from operator import le
 from typing import Iterable, Sequence
 
 from .orders import MonomialOrder
@@ -82,20 +83,40 @@ class GroebnerBasis:
 def _complete(basis: list[Polynomial], order: MonomialOrder, first: int,
               max_basis: int | None = None) -> None:
     """Complete the monic list basis in place, queueing only the pairs with
-    an element from index first on: basis[:first] is a Groebner basis."""
+    an element from index first on: basis[:first] is a Groebner basis.
+
+    Pairs with coprime leading monomials are never queued.  A popped pair
+    (i, j) is skipped by the chain criterion when some other leading
+    monomial lead_k divides lcm(lead_i, lead_j) and neither (i, k) nor
+    (j, k) is still queued (Gebauer and Moeller 1988).
+    """
     pairs: list[tuple[int, int, int]] = []
+    pending: set[tuple[int, int]] = set()
+    leads = [g.leading(order)[0] for g in basis]
 
     def add_pairs(k):
-        lead_k = basis[k].leading(order)[0]
+        lead_k = leads[k]
         for i in range(k):
-            lead_i = basis[i].leading(order)[0]
-            if not exp_coprime(lead_i, lead_k):
-                heapq.heappush(pairs, (sum(exp_lcm(lead_i, lead_k)), i, k))
+            if not exp_coprime(leads[i], lead_k):
+                heapq.heappush(pairs, (sum(exp_lcm(leads[i], lead_k)), i, k))
+                pending.add((i, k))
+
+    def chained(i, j):
+        lcm = exp_lcm(leads[i], leads[j])
+        for k, lead_k in enumerate(leads):
+            if (k != i and k != j and all(map(le, lead_k, lcm))
+                    and (min(i, k), max(i, k)) not in pending
+                    and (min(j, k), max(j, k)) not in pending):
+                return True
+        return False
 
     for k in range(first, len(basis)):
         add_pairs(k)
     while pairs:
         _, i, j = heapq.heappop(pairs)
+        pending.discard((i, j))
+        if chained(i, j):
+            continue
         s = s_polynomial(basis[i], basis[j], order)
         if not s:
             continue
@@ -106,6 +127,7 @@ def _complete(basis: list[Polynomial], order: MonomialOrder, first: int,
             raise ComputationLimitExceeded(
                 f"Groebner basis exceeded {max_basis} elements")
         basis.append(r.monic(order))
+        leads.append(basis[-1].leading(order)[0])
         add_pairs(len(basis) - 1)
 
 
@@ -117,7 +139,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
     a set that already is a Groebner basis comes back unchanged.  Pair
     selection is the normal strategy: least lcm total degree first, ties by
     pair index, which makes runs reproducible.  Pairs with coprime leading
-    monomials are skipped: their S-polynomial always reduces to zero.
+    monomials are skipped: their S-polynomial always reduces to zero.  So
+    is a pair (i, j) whose lcm another leading monomial lead_k divides once
+    neither (i, k) nor (j, k) is still queued: Buchberger's chain criterion.
     """
     gens = list(gens)
     if not gens:

@@ -1,14 +1,15 @@
-"""Defining ideals of monomial curves via elimination, minimal generators."""
+"""Defining ideals of monomial curves from their lattices, minimal generators."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .groebner import GroebnerBasis, _complete, buchberger, reduce_basis
+from .groebner import GroebnerBasis, _complete, reduce_basis
 from .orders import MonomialOrder
-from .poly import Polynomial, divide
+from .poly import _VARIABLE, Polynomial, divide
 from .semigroup import NumericalSemigroup
 
 
@@ -55,17 +56,56 @@ class GradedIdealPresentation:
         return GroebnerBasis(self.generators, self.order)
 
 
+def _lattice_basis(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """A basis of the lattice {v : sum v_i n_i = 0}.
+
+    Integer column operations (Euclid on the entries) reduce the row n to
+    a single entry gcd(n) = 1; the other columns of the unimodular matrix
+    that did it span the kernel.
+    """
+    n = len(exponents)
+    row = list(exponents)
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    live = list(range(n))
+    while len(live) > 1:
+        piv = min(live, key=lambda j: row[j])
+        for j in live:
+            if j != piv:
+                q = row[j] // row[piv]
+                row[j] -= q * row[piv]
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[piv])]
+        live = [j for j in live if row[j]]
+    return [tuple(cols[j]) for j in range(n) if j != live[0]]
+
+
+def _saturate(basis: list[Polynomial], i: int) -> list[Polynomial]:
+    """Divide each binomial by the largest power of x_i dividing both terms."""
+    out = []
+    for g in basis:
+        k = min(exp[i] for exp in g.terms)
+        if k:
+            g = Polynomial._raw(g.variables, {exp[:i] + (exp[i] - k,) + exp[i + 1:]: c
+                                              for exp, c in g.terms.items()})
+        out.append(g)
+    return out
+
+
 def parametrization_kernel(exponents: Sequence[int],
                            variables: Sequence[str] | None = None, *,
                            max_basis: int | None = None) -> GradedIdealPresentation:
     """Reduced Groebner basis of the kernel of x_i -> t^(exponents[i]).
 
     Works for any positive exponent assignment with gcd 1; the exponents
-    need not be sorted.  The computation eliminates a single parameter
-    variable: start from the relations x_i - t^(n_i) under a block order
-    putting t first, then keep the t-free part of the basis, which is a
-    Groebner basis of the kernel under the weighted grevlex order with
-    weights n_i.
+    need not be sorted or distinct.  The kernel is the toric ideal of the
+    lattice L = {v : sum v_i n_i = 0}, the saturation of the ideal of the
+    binomials x^(v+) - x^(v-) of a lattice basis by the product of all
+    variables (Sturmfels, Groebner Bases and Convex Polytopes, ch. 12).
+    One variable at a time, the basis is completed under the weighted
+    grevlex order with weights n_i and x_i last, and x_i is divided out of
+    each element, which leaves a Groebner basis of the saturation by x_i
+    (Bayer and Stillman).  The last variable is x_p, so the last
+    completion already runs under the output order.  max_basis bounds
+    every intermediate basis (ComputationLimitExceeded).
     """
     exponents = tuple(exponents)
     if not exponents or any(not isinstance(n, int) or n < 1 for n in exponents):
@@ -81,24 +121,24 @@ def parametrization_kernel(exponents: Sequence[int],
         variables = tuple(variables)
         if len(variables) != len(exponents):
             raise ValueError("one variable per exponent")
-    ambient = ("t",) + variables
-    n = len(ambient)
-    elim_order = MonomialOrder.elimination(n, 1, weights=(1,) + exponents)
-    gens = []
-    for i, e in enumerate(exponents):
-        xi = Polynomial.variable(ambient, i + 1)
-        te = Polynomial.monomial(ambient, (e,) + (0,) * (n - 1))
-        gens.append(xi - te)
-    full = buchberger(gens, elim_order, max_basis=max_basis)
-    x_order = MonomialOrder.weighted(exponents)
-    kept = []
-    for fpoly in full.generators:
-        if all(exp[0] == 0 for exp in fpoly.terms):
-            kept.append(Polynomial._raw(variables,
-                                        {exp[1:]: c for exp, c in fpoly.terms.items()}))
-    if kept:
-        kept = list(reduce_basis(GroebnerBasis(kept, x_order)).generators)
-    return GradedIdealPresentation(variables, exponents, x_order, tuple(kept))
+        for name in variables:
+            if not isinstance(name, str) or not _VARIABLE.fullmatch(name):
+                raise ValueError(f"variable {name!r} is not a name")
+        if len(set(variables)) != len(variables):
+            raise ValueError("variable names must be distinct")
+    one = Fraction(1)
+    basis = [Polynomial._raw(variables, {tuple(max(a, 0) for a in v): one,
+                                         tuple(max(-a, 0) for a in v): -one})
+             for v in _lattice_basis(exponents)]
+    nvars = len(exponents)
+    order = MonomialOrder.weighted(exponents)
+    for i in range(nvars):
+        step = order if i == nvars - 1 else MonomialOrder.weighted(
+            exponents, tuple(j for j in range(nvars) if j != i) + (i,))
+        basis = [b.monic(step) for b in basis]
+        _complete(basis, step, 0, max_basis)
+        basis = list(reduce_basis(GroebnerBasis(_saturate(basis, i), step)).generators)
+    return GradedIdealPresentation(variables, exponents, order, tuple(basis))
 
 
 def defining_ideal(curve: MonomialCurve, *,

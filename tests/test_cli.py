@@ -171,6 +171,9 @@ def test_guard_exit_code(capsys):
     assert code == 0
     code, _, _ = run(capsys, "betti", "3", "5", "7", "11", "13", "16", "17")
     assert code == 2  # too many variables
+    code, _, err = run(capsys, "betti", "--max-gb", "2", "12", "15", "20", "23")
+    assert code == 2  # the kernel's Groebner basis outgrows 2 elements
+    assert "exceeded 2 elements" in err
 
 
 def test_broken_invariant_exit_code(capsys, monkeypatch):

@@ -6,8 +6,9 @@ import pytest
 from monocurves import (NumericalSemigroup, buchberger, bresinsky_generators,
                         bresinsky_order, bresinsky_sequence,
                         concatenation_semigroup, eta_check, families,
-                        family_sweep, parametrization_kernel, sweep_to_jsonl,
-                        sweep_to_text, verify_bresinsky)
+                        family_sweep, free_resolution, minimalize,
+                        parametrization_kernel, sweep_to_jsonl, sweep_to_text,
+                        verify_bresinsky)
 from monocurves.toric import GradedIdealPresentation
 
 
@@ -75,11 +76,18 @@ def test_dropping_a_generator_breaks_generation():
     assert any(partial.normal_form(g) for g in kernel.generators)
 
 
-@pytest.mark.slow
 def test_verify_q2_8():
     report = verify_bresinsky(bresinsky_sequence(8))
     assert report.ok
     assert report.betti == (16, 28, 13)
+
+
+@pytest.mark.parametrize("q2", [10, 12, 16, pytest.param(24, marks=pytest.mark.slow)])
+def test_bresinsky_betti_formula(q2):
+    inst = bresinsky_sequence(q2)
+    kernel = parametrization_kernel(inst.n, inst.variables)
+    betti = tuple(minimalize(free_resolution(kernel)).betti)
+    assert betti == (2 * q2, 4 * (q2 - 1), 2 * q2 - 3)
 
 
 def test_concatenation_valid_instance():

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from kernel_oracle import elimination_order, elimination_relations
 
+import monocurves.groebner as groebner_module
 from monocurves import (ComputationLimitExceeded, GroebnerBasis,
                         MonomialOrder, Polynomial, buchberger,
                         homogenize_basis, is_groebner_basis, normal_form,
@@ -124,9 +126,32 @@ def test_criterion_records_are_the_transcripts():
             assert non_basis.transcript(i, j) == rec
 
 
+def chain_skipped(gens, order, **kwargs):
+    """buchberger's basis and the pairs its chain criterion skipped: every
+    pair with non-coprime leading monomials is queued, so these are the
+    ones whose S-polynomial was never formed."""
+    formed = set()
+
+    def recording(f, g, o):
+        formed.add((id(f), id(g)))
+        return s_polynomial(f, g, o)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner_module, "s_polynomial", recording)
+        gb = buchberger(gens, order, **kwargs)
+    leads = gb.leading_exponents
+    return gb, [(i, j) for i in range(len(gb)) for j in range(i + 1, len(gb))
+                if not exp_coprime(leads[i], leads[j])
+                and (id(gb[i]), id(gb[j])) not in formed]
+
+
+def reduces_to_zero(gb, i, j):
+    return not divide(s_polynomial(gb[i], gb[j], gb.order), gb.generators, gb.order).remainder
+
+
 def test_criterion_sound_on_random_ideals():
     rng = random.Random(11)
-    done = 0
+    done = skipped = 0
     while done < 100:
         gens = []
         for _ in range(rng.randint(2, 3)):
@@ -139,22 +164,20 @@ def test_criterion_sound_on_random_ideals():
                 gens.append(f)
         if not gens:
             continue
-        gb = buchberger(gens, LEX2, max_basis=300)
+        gb, chained = chain_skipped(gens, LEX2, max_basis=300)
         assert is_groebner_basis(gb.generators, LEX2)[0]
+        assert all(reduces_to_zero(gb, i, j) for i, j in chained)
+        skipped += len(chained)
         done += 1
+    assert skipped
 
 
 def test_binomial_closure_during_elimination():
-    # completing the parametrization relations only ever produces
-    # pure-difference binomials
+    # completing the parametrization relations of the elimination oracle
+    # only ever produces pure-difference binomials
     exponents = (3, 5, 7)
-    ambient = ("t", "x0", "x1", "x2")
-    order = MonomialOrder.elimination(4, 1, weights=(1,) + exponents)
-    gens = []
-    for i, e in enumerate(exponents):
-        gens.append(Polynomial(ambient, {tuple(1 if k == i + 1 else 0 for k in range(4)): 1,
-                                         (e, 0, 0, 0): -1}))
-    gb = buchberger(gens, order)
+    gens = elimination_relations(exponents)
+    gb = buchberger(gens, elimination_order(exponents))
     assert len(gb.generators) > len(gens)
     for g in gb.generators:
         assert sorted(g.terms.values()) == [-1, 1]
@@ -175,6 +198,18 @@ def test_coprime_pairs_reduce_to_zero():
                     s = s_polynomial(gb[i], gb[j], order)
                     assert not divide(s, gb.generators, order).remainder
                     checked += 1
+    assert checked
+
+
+def test_chain_skipped_pairs_reduce_to_zero():
+    # the pairs _complete skips by the chain criterion do reduce to zero
+    # against its output
+    checked = 0
+    for gens in [(3, 5, 7), (4, 6, 7), (12, 15, 20, 23)]:
+        pres = parametrization_kernel(gens)
+        gb, chained = chain_skipped(list(pres.generators), MonomialOrder.grevlex(len(gens)))
+        assert all(reduces_to_zero(gb, i, j) for i, j in chained)
+        checked += len(chained)
     assert checked
 
 

@@ -3,9 +3,13 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from kernel_oracle import elimination_kernel
 
 import monocurves.groebner as groebner_module
-from monocurves import (GradedIdealPresentation, Polynomial, buchberger,
+from monocurves import (ComputationLimitExceeded, GradedIdealPresentation,
+                        Polynomial, bresinsky_sequence, buchberger,
                         defining_ideal, eta_check, minimal_generators,
                         monomial_curve, new_semigroup, parametrization_kernel,
                         parse_polynomial)
@@ -125,6 +129,62 @@ def test_kernel_validation():
         parametrization_kernel(())
     with pytest.raises(ValueError):
         parametrization_kernel((2, 3), ("x0",))
+    # every printed generator must read back through parse_polynomial
+    for bad in [("y", "z-1", "2"), ("x0", "x1", "x0"), ("x", "y", ""),
+                ("x", "y", "z_1"), ("x", "y", 3)]:
+        with pytest.raises(ValueError):
+            parametrization_kernel((3, 5, 7), bad)
+    pres = parametrization_kernel((3, 5, 7), ("y", "z", "w12"))
+    for g in pres.generators:
+        assert parse_polynomial(str(g), pres.variables) == g
+
+
+def test_kernel_max_basis_guard():
+    # the lattice basis of (12,15,20,23) completes to 10 elements
+    for k in (2, 9):
+        with pytest.raises(ComputationLimitExceeded):
+            parametrization_kernel((12, 15, 20, 23), max_basis=k)
+    assert len(parametrization_kernel((12, 15, 20, 23), max_basis=11).generators) == 10
+
+
+def minimal_triples(top):
+    return [(a, b, c) for c in range(4, top + 1) for b in range(3, c) for a in range(2, b)
+            if gcd(gcd(a, b), c) == 1
+            and new_semigroup((a, b, c)).minimal_generators == (a, b, c)]
+
+
+def assert_matches_oracle(exponents, variables=None):
+    pres = parametrization_kernel(exponents, variables)
+    gens, order = elimination_kernel(exponents, variables)
+    assert [str(g) for g in pres.generators] == [str(g) for g in gens], exponents
+    assert repr(pres.order) == repr(order), exponents
+    return pres
+
+
+def test_kernel_matches_elimination_oracle():
+    curves = minimal_triples(15)
+    assert len(curves) == 148
+    curves += [(5, 7, 9, 11), (12, 15, 20, 23), (4, 5, 6, 7), (5, 6, 7, 8, 9),
+               (10, 11, 13, 17, 19), (31, 37, 41, 43), (25, 31, 36, 43, 47)]
+    # unsorted or repeated exponents, and the edge cases
+    curves += [(7, 5, 3), (2, 2, 3), (3, 3, 4, 4, 5), (1,), (1, 2)]
+    for gens in curves:
+        assert_matches_oracle(gens)
+    assert assert_matches_oracle((1,), ("y",)).generators == ()
+    assert [str(g) for g in assert_matches_oracle((1, 2), ("y", "z")).generators] == ["y^2 - z"]
+
+
+def test_bresinsky_kernel_matches_elimination_oracle():
+    for q2 in (4, 6, 8):
+        inst = bresinsky_sequence(q2)
+        assert len(assert_matches_oracle(inst.n, inst.variables).generators) == 2 * q2
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.lists(st.integers(1, 20), min_size=3, max_size=4)
+       .filter(lambda ns: gcd(*ns) == 1))
+def test_kernel_matches_oracle_property(exponents):
+    assert eta_check(assert_matches_oracle(exponents))
 
 
 def restart_minimal_generators(pres):
@@ -143,9 +203,7 @@ def restart_minimal_generators(pres):
 
 
 def test_minimal_generators_match_restart_oracle():
-    curves = [(a, b, c) for c in range(4, 16) for b in range(3, c) for a in range(2, b)
-              if gcd(gcd(a, b), c) == 1
-              and new_semigroup((a, b, c)).minimal_generators == (a, b, c)]
+    curves = minimal_triples(15)
     curves += [(5, 7, 9, 11), (12, 15, 20, 23), (4, 5, 6, 7), (5, 6, 7, 8, 9)]
     assert len(curves) == 152
     for gens in curves:
