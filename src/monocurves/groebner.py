@@ -58,8 +58,8 @@ class GroebnerBasis:
         lead_i, lead_j = gi.leading(self.order)[0], gj.leading(self.order)[0]
         if not exp_coprime(lead_i, lead_j):
             return divide(s_polynomial(gi, gj, self.order), self.generators, self.order)
-        lt_i = Polynomial.monomial(gi.variables, lead_i)
-        lt_j = Polynomial.monomial(gj.variables, lead_j)
+        lt_i = Polynomial._raw(gi.variables, {lead_i: 1})
+        lt_j = Polynomial._raw(gj.variables, {lead_j: 1})
         quots = [Polynomial.zero(gi.variables) for _ in self.generators]
         quots[i] = -(gj - lt_j)
         quots[j] = gi - lt_i

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .orders import MonomialOrder
@@ -13,11 +14,11 @@ from .orders import MonomialOrder
 # ---- exponent vector helpers (plain tuples of nonnegative ints) --------
 
 def exp_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def exp_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def exp_lcm(u, v):
@@ -37,11 +38,44 @@ def weighted_degree(u, weights) -> int:
     return sum(a * w for a, w in zip(u, weights))
 
 
+def _inverse(c):
+    """1/c for a nonzero coefficient, exact: a unit comes back as itself,
+    so integer coefficients stay ints until a non-unit divides them."""
+    return c if c == 1 or c == -1 else Fraction(1) / c
+
+
+def _coefficient(c):
+    """An int or Fraction coefficient from any rational value (never a
+    float or a bool)."""
+    if type(c) is int or type(c) is Fraction:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+# a variable name that parse_polynomial reads back: letters, then digits
+_VARIABLE = re.compile(r"[A-Za-z]+\d*")
+
+
+def _check_variables(variables) -> None:
+    """ValueError unless the names are distinct and parse_polynomial reads
+    each one back."""
+    for name in variables:
+        if not isinstance(name, str) or not _VARIABLE.fullmatch(name):
+            raise ValueError(f"variable {name!r} is not a name")
+    if len(set(variables)) != len(variables):
+        raise ValueError("variable names must be distinct")
+
+
 class Polynomial:
     """Immutable sum of (rational coefficient, exponent vector) terms.
 
-    ``variables`` names the ambient ring; two polynomials interoperate only
-    when their ambients coincide.  The term map never stores zeros, so
+    ``variables`` names the ambient ring: distinct names that
+    ``parse_polynomial`` reads back (ValueError otherwise); two polynomials
+    interoperate only when their ambients coincide.  Coefficients are exact,
+    each an ``int`` or a ``Fraction``: integers stay ints through sums,
+    products and divisions by a unit, and a ``Fraction`` appears only after
+    a division by a non-unit.  The term map never stores zeros, so
     structural equality of the maps is polynomial equality.  ``leading``
     remembers its answer in one store; threads that race store equal values.
     """
@@ -50,15 +84,16 @@ class Polynomial:
 
     def __init__(self, variables: Sequence[str], terms: Mapping | None = None):
         variables = tuple(variables)
-        clean: dict[tuple, Fraction] = {}
+        _check_variables(variables)
+        clean: dict = {}
         n = len(variables)
         for exp, c in (terms or {}).items():
             exp = tuple(exp)
             if len(exp) != n or any(e < 0 or not isinstance(e, int) for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for {n} variables")
-            c = Fraction(c)
+            c = _coefficient(c)
             if c:
-                clean[exp] = clean.get(exp, Fraction(0)) + c
+                clean[exp] = clean.get(exp, 0) + c
                 if not clean[exp]:
                     del clean[exp]
         object.__setattr__(self, "variables", variables)
@@ -88,14 +123,14 @@ class Polynomial:
     @classmethod
     def constant(cls, variables, c) -> "Polynomial":
         variables = tuple(variables)
-        c = Fraction(c)
+        c = _coefficient(c)
         return cls._raw(variables, {(0,) * len(variables): c} if c else {})
 
     @classmethod
     def variable(cls, variables, i: int) -> "Polynomial":
         variables = tuple(variables)
         exp = tuple(1 if k == i else 0 for k in range(len(variables)))
-        return cls._raw(variables, {exp: Fraction(1)})
+        return cls(variables, {exp: 1})
 
     @classmethod
     def monomial(cls, variables, exp, coeff=1) -> "Polynomial":
@@ -159,7 +194,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ambient(other)
-        res: dict[tuple, Fraction] = {}
+        res: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = exp_add(e1, e2)
@@ -188,14 +223,14 @@ class Polynomial:
         return result
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _coefficient(c)
         if not c:
             return Polynomial.zero(self.variables)
         return Polynomial._raw(self.variables, {e: c * v for e, v in self.terms.items()})
 
     def times_term(self, coeff, exp) -> "Polynomial":
         """Multiply by a single term coeff * x^exp."""
-        coeff = Fraction(coeff)
+        coeff = _coefficient(coeff)
         if not coeff:
             return Polynomial.zero(self.variables)
         exp = tuple(exp)
@@ -245,7 +280,7 @@ class Polynomial:
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
         _, c = self.leading(order)
-        return self if c == 1 else self.scale(Fraction(1) / c)
+        return self if c == 1 else self.scale(_inverse(c))
 
     # ---- degrees ----------------------------------------------------------
 
@@ -317,18 +352,18 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial],
     for g in divisors:
         if g.variables != f.variables:
             raise ValueError("divisor ambient mismatch")
-    leads = [g.leading(order) for g in divisors]
+    leads = [(gexp, _inverse(gc)) for gexp, gc in (g.leading(order) for g in divisors)]
     key = order.key
     p = dict(f.terms)
     quots: list[dict] = [{} for _ in divisors]
-    rem: dict[tuple, Fraction] = {}
+    rem: dict = {}
     while p:
         lm = max(p, key=key)
         lc = p[lm]
-        for k, (gexp, gc) in enumerate(leads):
+        for k, (gexp, ginv) in enumerate(leads):
             if exp_divides(gexp, lm):
                 qexp = exp_sub(lm, gexp)
-                qc = lc / gc
+                qc = lc * ginv
                 quots[k][qexp] = quots[k].get(qexp, 0) + qc
                 for mexp, mc in divisors[k].terms.items():
                     t = exp_add(qexp, mexp)
@@ -356,8 +391,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     fexp, fc = f.leading(order)
     gexp, gc = g.leading(order)
     lcm = exp_lcm(fexp, gexp)
-    return (f.times_term(Fraction(1) / fc, exp_sub(lcm, fexp))
-            - g.times_term(Fraction(1) / gc, exp_sub(lcm, gexp)))
+    return (f.times_term(_inverse(fc), exp_sub(lcm, fexp))
+            - g.times_term(_inverse(gc), exp_sub(lcm, gexp)))
 
 
 # ---- text form -------------------------------------------------------------
@@ -385,8 +420,6 @@ def poly_to_str(f: Polynomial) -> str:
     return "".join(parts)
 
 
-# homogenize_basis checks its new variable against this, so its output reads back
-_VARIABLE = re.compile(r"[A-Za-z]+\d*")
 _TOKEN = re.compile(rf"\s*(\d+|{_VARIABLE.pattern}|\^|\*|\+|-|/)")
 
 
@@ -412,10 +445,11 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     factors is optional.
     """
     variables = tuple(variables)
+    _check_variables(variables)
     index = {name: i for i, name in enumerate(variables)}
     toks = _tokenize(text)
     n = len(variables)
-    terms: dict[tuple, Fraction] = {}
+    terms: dict = {}
     pos = 0
 
     def peek():
@@ -440,7 +474,7 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
         while peek() in ("+", "-"):
             if take() == "-":
                 sign = -sign
-        coeff = Fraction(sign)
+        coeff = sign
         exp = [0] * n
         saw_factor = False
         while True:
@@ -475,4 +509,4 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
             terms[key] = s
         elif key in terms:
             del terms[key]
-    return Polynomial._raw(variables, {e: Fraction(c) for e, c in terms.items()})
+    return Polynomial._raw(variables, terms)

@@ -13,45 +13,53 @@ trivial summands; the surviving ranks are the Betti numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .groebner import GroebnerBasis
 from .orders import MonomialOrder
-from .poly import (Polynomial, exp_add, exp_divides, exp_lcm, exp_sub,
+from .poly import (Polynomial, _inverse, exp_add, exp_divides, exp_lcm, exp_sub,
                    weighted_degree)
 from .toric import GradedIdealPresentation, MonomialCurve, defining_ideal, monomial_curve
 
 
 # ---- orders on free-module monomials (position, exponent vector) ----------
-#
-# A module order is a key function on module monomials: the monomial with
-# the larger key is the larger one.
-
-def _rank_one_key(ring_order: MonomialOrder):
-    """Module order on R^1: the ring order, ties going to the smaller position."""
-    ring_key = ring_order.key
-    return lambda mm: (ring_key(mm[1]), -mm[0])
-
 
 class SchreyerOrder:
-    """Order induced on syzygy positions by the parent leading monomials.
+    """Module order on one level of a Schreyer resolution, as one flat key.
 
-    (i, u) beats (j, v) iff u * Lm(g_i) beats v * Lm(g_j) in the parent
-    module, ties going to the smaller index.  With this order the Schreyer
-    generators of the syzygy module are already a Groebner basis.
+    Level 0 is R^1 under the ring order (``rank_one``).  ``next(leads)``
+    gives the order on the syzygies of a level whose elements have the
+    leading monomials leads[k] = (pos, exp): (k, u) ranks as (pos, u * exp)
+    does one level down, ties going to the smaller k.  With this order the
+    Schreyer generators of the syzygy module are already a Groebner basis.
+
+    Unwound to level 0, position k carries the offset off[k], the product
+    of the leading monomials along its chain of positions p0 = 0, p1, ...,
+    k, and the tie-breaks tie[k] = (-p0, -p1, ..., -k), so one flat key
+    ranks the level: ``key((k, u)) = ring_key(u + off[k]) + tie[k]``.  The
+    module monomial with the larger key is the larger one.
     """
 
-    __slots__ = ("parent_key", "leads")
+    __slots__ = ("ring_key", "offsets", "ties")
 
-    def __init__(self, parent_key, leads):
-        self.parent_key = parent_key
-        self.leads = tuple(leads)
+    def __init__(self, ring_key, offsets, ties):
+        self.ring_key = ring_key
+        self.offsets = tuple(offsets)
+        self.ties = tuple(ties)
+
+    @classmethod
+    def rank_one(cls, ring_order: MonomialOrder) -> "SchreyerOrder":
+        return cls(ring_order.key, [(0,) * ring_order.nvars], [(0,)])
+
+    def next(self, leads) -> "SchreyerOrder":
+        """The order on the syzygies of elements with leading monomials leads."""
+        return SchreyerOrder(self.ring_key,
+                             [exp_add(exp, self.offsets[pos]) for pos, exp in leads],
+                             [self.ties[pos] + (-k,) for k, (pos, _) in enumerate(leads)])
 
     def key(self, mm):
         pos, u = mm
-        lpos, lexp = self.leads[pos]
-        return self.parent_key((lpos, exp_add(u, lexp))), -pos
+        return self.ring_key(exp_add(u, self.offsets[pos])) + self.ties[pos]
 
 
 # ---- free module elements --------------------------------------------------
@@ -75,10 +83,6 @@ class FreeModuleElement:
     def __setattr__(self, name, value):
         raise AttributeError("FreeModuleElement is immutable")
 
-    @property
-    def rank(self) -> int:
-        return len(self.coordinates)
-
     def __bool__(self):
         return any(self.coordinates)
 
@@ -90,18 +94,9 @@ class FreeModuleElement:
     def __repr__(self):
         return "(" + ", ".join(str(p) for p in self.coordinates) + ")"
 
-    def sub(self, other: "FreeModuleElement") -> "FreeModuleElement":
-        return FreeModuleElement(
-            tuple(a - b for a, b in zip(self.coordinates, other.coordinates)),
-            self.shifts)
-
     def scale(self, c) -> "FreeModuleElement":
         return FreeModuleElement(tuple(p.scale(c) for p in self.coordinates),
                                  self.shifts)
-
-    def times_term(self, coeff, exp) -> "FreeModuleElement":
-        return FreeModuleElement(
-            tuple(p.times_term(coeff, exp) for p in self.coordinates), self.shifts)
 
     def leading(self, key):
         """(position, exponents, coefficient) of the largest module monomial
@@ -127,34 +122,27 @@ class FreeModuleElement:
         return tuple(p.sort_key() for p in self.coordinates)
 
 
-def _combine(coeffs: Sequence[Polynomial],
-             elements: Sequence[FreeModuleElement]) -> FreeModuleElement:
-    rank = elements[0].rank
-    ambient = elements[0].coordinates[0].variables
-    coords = [Polynomial.zero(ambient)] * rank
-    for c, e in zip(coeffs, elements):
-        if not c:
-            continue
-        for k in range(rank):
-            if e.coordinates[k]:
-                coords[k] = coords[k] + c * e.coordinates[k]
-    return FreeModuleElement(coords, elements[0].shifts)
+def _term_table(e: FreeModuleElement) -> tuple:
+    """The terms ((position, exponents), coefficient) of a module element."""
+    return tuple(((pos, exp), c)
+                 for pos, poly in enumerate(e.coordinates)
+                 for exp, c in poly.terms.items())
 
 
-def _module_divide(f: FreeModuleElement, elements, leads, flat, key):
-    """Divide a vector by monic divisors; returns (quotients, remainder dict).
+def _module_divide(p: dict, leads, flat, key):
+    """Divide the vector with term map p (consumed) by monic divisors with
+    leading monomials leads and term tables flat; returns (quotients,
+    remainder dict).
 
     Same first-match strategy as ring division, restricted to divisors whose
-    leading monomial sits at the current leading position.
+    leading monomial sits at the current leading position.  key is the
+    module order; each module monomial is ranked once, when it enters p.
     """
-    ambient = f.coordinates[0].variables
-    p = {(pos, exp): c
-         for pos, poly in enumerate(f.coordinates)
-         for exp, c in poly.terms.items()}
-    quots: list[dict] = [{} for _ in elements]
+    quots: list[dict] = [{} for _ in flat]
     rem: dict = {}
+    ranks = {mm: key(mm) for mm in p}
     while p:
-        best = max(p, key=key)
+        best = max(p, key=ranks.__getitem__)
         c = p[best]
         pos, exp = best
         for k, (dpos, dexp) in enumerate(leads):
@@ -166,66 +154,88 @@ def _module_divide(f: FreeModuleElement, elements, leads, flat, key):
                     s = p.get(mm, 0) - c * tc
                     if s:
                         p[mm] = s
+                        if mm not in ranks:
+                            ranks[mm] = key(mm)
                     elif mm in p:
                         del p[mm]
                 break
         else:
             rem[best] = c
             del p[best]
-    return [Polynomial._raw(ambient, {e: c for e, c in q.items() if c})
-            for q in quots], rem
+    return [{e: c for e, c in q.items() if c} for q in quots], rem
 
 
-def _syzygy_from_pair(i, j, quotients, leads, elements, shifts) -> FreeModuleElement:
+def _syzygy_from_pair(i, j, quotients, leads, flat, ambient, shifts) -> FreeModuleElement:
     # Schreyer tuple (h_1, ..., h_i - u, ..., h_j + v, ..., h_t) for the
-    # transcript S(g_i, g_j) = u g_i - v g_j = sum h_k g_k
-    ambient = elements[0].coordinates[0].variables
+    # transcript S(g_i, g_j) = u g_i - v g_j = sum h_k g_k, checked by
+    # accumulating sum h_k g_k over the term tables of the g_k
     lcm = exp_lcm(leads[i][1], leads[j][1])
     coords = list(quotients)
-    coords[i] = coords[i] - Polynomial.monomial(ambient, exp_sub(lcm, leads[i][1]))
-    coords[j] = coords[j] + Polynomial.monomial(ambient, exp_sub(lcm, leads[j][1]))
-    syz = FreeModuleElement(coords, shifts)
-    if _combine(syz.coordinates, elements):
+    for k, sign in ((i, -1), (j, 1)):
+        u = exp_sub(lcm, leads[k][1])
+        h = coords[k] = dict(coords[k])
+        s = h.get(u, 0) + sign
+        if s:
+            h[u] = s
+        else:
+            del h[u]
+    total: dict = {}
+    for h, table in zip(coords, flat):
+        for qexp, qc in h.items():
+            for (tpos, texp), tc in table:
+                mm = (tpos, exp_add(qexp, texp))
+                s = total.get(mm, 0) + qc * tc
+                if s:
+                    total[mm] = s
+                else:
+                    del total[mm]
+    if total:
         raise AssertionError("syzygy does not annihilate the basis")
-    return syz
+    return FreeModuleElement([Polynomial._raw(ambient, h) for h in coords], shifts)
 
 
 def _ring_syzygies(gb: GroebnerBasis, shifts):
     """Level 1: the Schreyer tuples of the ring S-pair transcripts, in pair order."""
-    elements = [FreeModuleElement((g,), (0,)) for g in gb.generators]
+    ambient = gb.generators[0].variables
     leads = [(0, exp) for exp in gb.leading_exponents]
-    t = len(elements)
-    return leads, [_syzygy_from_pair(i, j, gb.transcript(i, j).quotients,
-                                     leads, elements, shifts)
+    flat = [tuple(((0, exp), c) for exp, c in g.terms.items()) for g in gb.generators]
+    t = len(flat)
+    return leads, [_syzygy_from_pair(i, j, [q.terms for q in gb.transcript(i, j).quotients],
+                                     leads, flat, ambient, shifts)
                    for i in range(t) for j in range(i + 1, t)]
 
 
 def _level_syzygies(elements, key, shifts):
     """All Schreyer tuples of one module level (2 and up), in pair order."""
-    t = len(elements)
+    ambient = elements[0].coordinates[0].variables
     leads = []
     for e in elements:
         pos, exp, c = e.leading(key)
         if c != 1:
             raise AssertionError("level elements must be monic")
         leads.append((pos, exp))
-    flat = [tuple(((pos, exp), c)
-                  for pos, poly in enumerate(e.coordinates)
-                  for exp, c in poly.terms.items())
-            for e in elements]
+    flat = [_term_table(e) for e in elements]
+    t = len(elements)
     out = []
     for i in range(t):
         for j in range(i + 1, t):
             if leads[i][0] != leads[j][0]:
                 continue
             lcm = exp_lcm(leads[i][1], leads[j][1])
-            spair = (elements[i].times_term(1, exp_sub(lcm, leads[i][1]))
-                     .sub(elements[j].times_term(1, exp_sub(lcm, leads[j][1]))))
-            quots, rem = _module_divide(spair, elements, leads, flat, key)
+            u, v = exp_sub(lcm, leads[i][1]), exp_sub(lcm, leads[j][1])
+            spair = {(pos, exp_add(u, exp)): c for (pos, exp), c in flat[i]}
+            for (pos, exp), c in flat[j]:
+                mm = (pos, exp_add(v, exp))
+                s = spair.get(mm, 0) - c
+                if s:
+                    spair[mm] = s
+                else:
+                    del spair[mm]
+            quots, rem = _module_divide(spair, leads, flat, key)
             if rem:
                 raise AssertionError("transcript integrity failure: "
                                      f"pair ({i}, {j}) left a remainder")
-            out.append(_syzygy_from_pair(i, j, quots, leads, elements, shifts))
+            out.append(_syzygy_from_pair(i, j, quots, leads, flat, ambient, shifts))
     return leads, out
 
 
@@ -252,7 +262,7 @@ def _prune_and_sort(elements, key):
     for s in elements:
         pos, exp, c = s.leading(key)
         if c != 1:
-            s = s.scale(Fraction(1) / c)
+            s = s.scale(_inverse(c))
         info.append(((pos, exp), s))
     info.sort(key=lambda it: (it[0][0], sum(it[0][1]), it[0][1], it[1].sort_key()))
     kept: list[tuple] = []
@@ -371,9 +381,9 @@ def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
             raise ValueError(f"non-homogeneous generator {g}")
     if not pres.generators:
         return GradedResolution([1], [[0]], [], variables, weights)
-    key = _rank_one_key(pres.order)
+    order = SchreyerOrder.rank_one(pres.order)
     rank_one = [FreeModuleElement((g,), (0,)) for g in pres.generators]
-    kept = [e.coordinates[0] for e in _prune_and_sort(rank_one, key)]
+    kept = [e.coordinates[0] for e in _prune_and_sort(rank_one, order.key)]
     gb = GroebnerBasis(kept, pres.order)
     # gb must span every generator; the level-1 transcripts check it is a basis
     if any(gb.normal_form(g) for g in pres.generators):
@@ -386,12 +396,12 @@ def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
     while syz:
         if len(diffs) >= nvars:
             raise AssertionError("resolution exceeded the variable-count bound")
-        key = SchreyerOrder(key, leads).key
-        nxt = _prune_and_sort(syz, key)
+        order = order.next(leads)
+        nxt = _prune_and_sort(syz, order.key)
         diffs.append([[nxt[c].coordinates[r] for c in range(len(nxt))]
                       for r in range(len(shifts[-1]))])
         shifts.append([s.degree(weights) for s in nxt])
-        leads, syz = _level_syzygies(nxt, key, tuple(shifts[-1]))
+        leads, syz = _level_syzygies(nxt, order.key, tuple(shifts[-1]))
     ranks = [len(s) for s in shifts]
     return GradedResolution(ranks, shifts, diffs, variables, weights)
 
@@ -425,7 +435,7 @@ def minimalize(res: GradedResolution) -> GradedResolution:
         k, r0, c0 = found
         mat = diffs[k]
         u = _constant_value(mat[r0][c0])
-        inv = Fraction(1) / u
+        inv = _inverse(u)
         lam = {c: mat[r0][c].scale(inv) for c in range(len(mat[r0]))
                if c != c0 and mat[r0][c]}
         for c, l in lam.items():

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
 from .groebner import GroebnerBasis, _complete, reduce_basis
 from .orders import MonomialOrder
-from .poly import _VARIABLE, Polynomial, divide
+from .poly import Polynomial, _check_variables, divide
 from .semigroup import NumericalSemigroup
 
 
@@ -121,14 +120,9 @@ def parametrization_kernel(exponents: Sequence[int],
         variables = tuple(variables)
         if len(variables) != len(exponents):
             raise ValueError("one variable per exponent")
-        for name in variables:
-            if not isinstance(name, str) or not _VARIABLE.fullmatch(name):
-                raise ValueError(f"variable {name!r} is not a name")
-        if len(set(variables)) != len(variables):
-            raise ValueError("variable names must be distinct")
-    one = Fraction(1)
-    basis = [Polynomial._raw(variables, {tuple(max(a, 0) for a in v): one,
-                                         tuple(max(-a, 0) for a in v): -one})
+        _check_variables(variables)
+    basis = [Polynomial._raw(variables, {tuple(max(a, 0) for a in v): 1,
+                                         tuple(max(-a, 0) for a in v): -1})
              for v in _lattice_basis(exponents)]
     nvars = len(exponents)
     order = MonomialOrder.weighted(exponents)

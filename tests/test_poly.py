@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monocurves import (MonomialOrder, Polynomial, divide, parse_polynomial,
                         poly_to_str, s_polynomial)
@@ -29,6 +31,10 @@ def test_canonical_form():
     g = Polynomial(XY, {(1, 0): Fraction(1, 2)})
     assert f != g and f == g + g
     assert Polynomial(XY, {(2, 0): 1, (2, 0): 1}) == p("x0^2")
+    # coefficients are ints or Fractions, never bools or floats
+    h = Polynomial(XY, {(1, 0): True, (0, 1): 0.5, (0, 0): 2.0})
+    assert [type(h.terms[e]) for e in ((1, 0), (0, 1), (0, 0))] == [int, Fraction, int]
+    assert h == p("x0 + 1/2*x1 + 2")
 
 
 def test_zero_and_equality():
@@ -267,3 +273,50 @@ def test_round_trip_random():
     for _ in range(200):
         f = random_poly(rng, vars3, nterms=6, maxexp=9)
         assert parse_polynomial(poly_to_str(f), vars3) == f
+
+
+def test_variable_names_must_read_back():
+    # every name must be one parse_polynomial reads back, and names distinct
+    for bad in [("y", "z-1"), ("x", "x"), ("x", ""), ("x", "z_1"), ("x", 3)]:
+        with pytest.raises(ValueError):
+            Polynomial(bad, {(1, 0): 1, (0, 2): -1})
+        with pytest.raises(ValueError):
+            Polynomial.monomial(bad, (0, 1))
+        with pytest.raises(ValueError):
+            Polynomial.variable(bad, 1)
+        with pytest.raises(ValueError):
+            parse_polynomial("1", bad)
+    f = Polynomial(("y", "z1"), {(1, 0): 1, (0, 2): -1})
+    assert str(f) == "y - z1^2"
+    assert parse_polynomial(str(f), f.variables) == f
+
+
+def _with_fractions(f):
+    return Polynomial(f.variables, {e: Fraction(c) for e, c in f.terms.items()})
+
+
+_INT_TERMS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             st.integers(-4, 4).filter(bool), min_size=1, max_size=4)
+_NON_UNIT = {(1, 0): 2, (0, 0): -3}     # 2*x0 - 3
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_INT_TERMS, st.lists(_INT_TERMS, min_size=1, max_size=3),
+       st.sampled_from([LEX2, MonomialOrder.grlex(2), MonomialOrder.grevlex(2)]))
+@example({(2, 1): 1, (0, 0): 5}, [_NON_UNIT], LEX2)
+@example(_NON_UNIT, [_NON_UNIT, {(0, 1): -1, (0, 0): 1}], LEX2)
+def test_int_coefficients_agree_with_fractions(f_terms, divisor_terms, order):
+    f = Polynomial(XY, f_terms)
+    divisors = [Polynomial(XY, t) for t in divisor_terms]
+    f_q, divisors_q = _with_fractions(f), [_with_fractions(g) for g in divisors]
+    rec, rec_q = divide(f, divisors, order), divide(f_q, divisors_q, order)
+    assert rec.quotients == rec_q.quotients and rec.remainder == rec_q.remainder
+    assert f.monic(order) == f_q.monic(order)
+    assert s_polynomial(f, divisors[0], order) == s_polynomial(f_q, divisors_q[0], order)
+    coeffs = [c for g in rec.quotients + (rec.remainder, f.monic(order))
+              for c in g.terms.values()]
+    assert all(type(c) in (int, Fraction) for c in coeffs)
+    # a Fraction appears only after a division by a non-unit
+    if all(abs(g.leading(order)[1]) == 1 for g in divisors):
+        assert all(type(c) is int for g in rec.quotients + (rec.remainder,)
+                   for c in g.terms.values())

@@ -237,3 +237,137 @@ def test_hilbert_series_identity():
                 for d in level:
                     expected[d] += (-1) ** i
             assert series == expected, (gens, res.minimal)
+
+
+# ---- the oracle corpus: graded Betti numbers, the flat key, exactness -------
+
+def oracle_curves():
+    """Every minimal 3-generated semigroup with n0 <= 9 and n2 <= 12, five
+    larger curves and the Bresinsky curves for q2 = 4, 6."""
+    from monocurves import new_semigroup
+    from monocurves.families import bresinsky_sequence
+
+    triples = [(a, b, c) for c in range(4, 13) for b in range(3, c) for a in range(2, min(b, 10))
+               if gcd(gcd(a, b), c) == 1
+               and new_semigroup((a, b, c)).minimal_generators == (a, b, c)]
+    return (triples + [(5, 7, 9, 11), (12, 15, 20, 23), (4, 5, 6, 7), (5, 6, 7, 8, 9),
+                       (10, 11, 13, 17, 19)]
+            + [bresinsky_sequence(q2).n for q2 in (4, 6)])
+
+
+@pytest.fixture(scope="module")
+def oracle_resolutions():
+    """(generators, kernel, free resolution, minimal resolution) per curve."""
+    out = []
+    for gens in oracle_curves():
+        pres = parametrization_kernel(gens)
+        raw = free_resolution(pres)
+        out.append((gens, pres, raw, minimalize(raw)))
+    assert len(out) == 63
+    return out
+
+
+def test_graded_betti_numbers_match_divisor_complex_oracle(oracle_resolutions):
+    from collections import Counter
+
+    from betti_oracle import graded_betti
+
+    for gens, _, _, res in oracle_resolutions:
+        got = Counter((i, s) for i, level in enumerate(res.shifts) for s in level)
+        assert got == graded_betti(gens), gens
+
+
+def test_last_shifts_reach_the_oracle_scan_bound(oracle_resolutions):
+    # the largest shift is F(S) + sum(n), in the last module (F is in PF(S))
+    from betti_oracle import scan_bound
+
+    for gens, _, _, res in oracle_resolutions:
+        assert max(res.shifts[-1]) == scan_bound(gens), gens
+        assert max(max(level) for level in res.shifts) == scan_bound(gens), gens
+
+
+def test_flat_schreyer_key_matches_nested_oracle(oracle_resolutions):
+    # at every level, the monomials of the differential's columns (and their
+    # multiples by each variable) sort the same under both keys
+    from schreyer_oracle import rank_one_key, schreyer_key
+
+    from monocurves import SchreyerOrder
+
+    for gens, pres, raw, _ in oracle_resolutions:
+        flat, nested = SchreyerOrder.rank_one(pres.order), rank_one_key(pres.order)
+        units = [tuple(int(k == i) for k in range(len(gens))) for i in range(len(gens))]
+        for mat in raw.differentials:
+            columns = [[(r, exp) for r, row in enumerate(mat) for exp in row[c].terms]
+                       for c in range(len(mat[0]))]
+            monomials = {(r, tuple(a + b for a, b in zip(exp, unit)))
+                         for col in columns for r, exp in col for unit in units}
+            monomials.update(mm for col in columns for mm in col)
+            assert sorted(monomials, key=flat.key) == sorted(monomials, key=nested), gens
+            leads = [max(col, key=nested) for col in columns]
+            flat, nested = flat.next(leads), schreyer_key(nested, leads)
+
+
+def _coefficients(polys):
+    return [c for f in polys for c in f.terms.values()]
+
+
+def test_coefficients_are_exact_integers(oracle_resolutions):
+    # toric binomials have coefficients +-1 and every division in the
+    # pipeline is by a unit, so no coefficient ever becomes a Fraction
+    from monocurves import homogenize_basis, reduce_basis
+
+    for gens, pres, raw, res in oracle_resolutions:
+        grevlex = reduce_basis(buchberger(pres.generators, MonomialOrder.grevlex(len(gens))))
+        coeffs = _coefficients(pres.generators + minimal_generators(pres).generators
+                               + grevlex.generators + tuple(homogenize_basis(grevlex)))
+        for r in (raw, res):
+            coeffs += _coefficients(e for mat in r.differentials for row in mat for e in row)
+        assert coeffs and all(type(c) is int for c in coeffs), gens
+
+
+# ---- the annihilation check is not narrower ---------------------------------
+
+# each corrupts the last quotient, which the first pair checked does not
+# involve, so a check of the pair's own two coordinates would miss it
+
+def _corrupt_transcripts(monkeypatch):
+    from monocurves.groebner import GroebnerBasis
+    from monocurves.poly import DivisionRecord
+
+    true_transcript = GroebnerBasis.transcript
+
+    def corrupted(self, i, j):
+        rec = true_transcript(self, i, j)
+        quots = list(rec.quotients)
+        quots[-1] = quots[-1] + Polynomial.constant(quots[-1].variables, 1)
+        return DivisionRecord(tuple(quots), rec.remainder, rec.via_coprime_criterion)
+
+    monkeypatch.setattr(GroebnerBasis, "transcript", corrupted)
+
+
+def _corrupt_module_division(monkeypatch):
+    from monocurves import resolution
+
+    true_divide = resolution._module_divide
+
+    def corrupted(*args):
+        quots, rem = true_divide(*args)
+        one = (0, 0, 0, 0)     # the constant monomial of the four-variable ring
+        quots[-1][one] = quots[-1].get(one, 0) + 1
+        return quots, rem
+
+    monkeypatch.setattr(resolution, "_module_divide", corrupted)
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_transcripts, _corrupt_module_division],
+                         ids=["level-1-transcript", "level-2-module-division"])
+def test_corrupted_quotient_breaks_annihilation(corrupt, monkeypatch, capsys):
+    from monocurves.cli import main
+
+    pres = parametrization_kernel((5, 7, 9, 11))
+    corrupt(monkeypatch)
+    with pytest.raises(AssertionError, match="^syzygy does not annihilate the basis$"):
+        free_resolution(pres)
+    assert main(["resolution", "5", "7", "9", "11"]) == 3
+    assert capsys.readouterr().err == ("error: internal invariant broken: "
+                                       "syzygy does not annihilate the basis\n")
