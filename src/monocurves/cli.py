@@ -7,8 +7,9 @@ import json
 import sys
 
 from .derivations import derivation_rank
-from .families import (bresinsky_generators, bresinsky_sequence, family_sweep,
-                       sweep_to_text, verify_bresinsky)
+from .families import (_concatenation_generators, bresinsky_generators,
+                       bresinsky_sequence, family_sweep, sweep_to_text,
+                       verify_bresinsky)
 from .groebner import (ComputationLimitExceeded, GroebnerBasis, buchberger,
                        homogenize_basis, reduce_basis)
 from .orders import MonomialOrder
@@ -186,8 +187,8 @@ def _cmd_concat_sweep(args):
               for a in _parse_range(args.a)
               for d in _parse_range(args.d)
               for b in _parse_range(args.b)]
-    for a, d, b, _ in params:
-        _check_guards((a, b + d), args)
+    for a, d, b, p in params:
+        _check_guards(_concatenation_generators(a, d, b, p), args)
     rows = family_sweep("concatenation", params, max_basis=args.max_gb)
     payload = {"rows": rows}
     return payload, sweep_to_text(rows).splitlines()

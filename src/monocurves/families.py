@@ -119,6 +119,10 @@ class ConcatenationInstance:
     generators: tuple[int, ...]
 
 
+def _concatenation_generators(a: int, d: int, b: int, p: int) -> tuple[int, ...]:
+    return tuple(a + i * d for i in range(p - 1)) + (b, b + d)
+
+
 def concatenation_semigroup(a: int, d: int, b: int, p: int):
     """Validated instance plus its numerical semigroup.
 
@@ -136,7 +140,7 @@ def concatenation_semigroup(a: int, d: int, b: int, p: int):
         raise ValueError("b must exceed a + (p-2)*d")
     if (b - a) % d == 0:
         raise ValueError("d must not divide b - a")
-    gens = tuple(a + i * d for i in range(p - 1)) + (b, b + d)
+    gens = _concatenation_generators(a, d, b, p)
     semigroup = NumericalSemigroup(gens)
     if semigroup.minimal_generators != gens:
         raise ValueError(f"{gens} is not a minimal generating system")

@@ -6,8 +6,9 @@ the first differential; the reduction transcript of each S-pair
 the syzygy module which is again a Groebner basis with respect to the order
 induced on positions by the parent leading terms, so the construction
 iterates without ever running a module Buchberger completion.
-Minimalization then cancels unit entries of the differentials to split off
-trivial summands; the surviving ranks are the Betti numbers.
+Minimalization then splits off the trivial summands one unit entry at a
+time, keeping the Schur complement of the differential that holds it; the
+surviving ranks are the Betti numbers.
 """
 
 from __future__ import annotations
@@ -200,20 +201,20 @@ def _ring_syzygies(gb: GroebnerBasis, shifts):
     leads = [(0, exp) for exp in gb.leading_exponents]
     flat = [tuple(((0, exp), c) for exp, c in g.terms.items()) for g in gb.generators]
     t = len(flat)
-    return leads, [_syzygy_from_pair(i, j, [q.terms for q in gb.transcript(i, j).quotients],
-                                     leads, flat, ambient, shifts)
-                   for i in range(t) for j in range(i + 1, t)]
+    return [_syzygy_from_pair(i, j, [q.terms for q in gb.transcript(i, j).quotients],
+                              leads, flat, ambient, shifts)
+            for i in range(t) for j in range(i + 1, t)]
 
 
-def _level_syzygies(elements, key, shifts):
-    """All Schreyer tuples of one module level (2 and up), in pair order."""
+def _level_syzygies(elements, leads, key, shifts):
+    """All Schreyer tuples of one module level (2 and up), in pair order.
+
+    leads[k] = (pos, exp) is the leading monomial of elements[k] under key,
+    as ``_prune_and_sort`` found it."""
     ambient = elements[0].coordinates[0].variables
-    leads = []
-    for e in elements:
-        pos, exp, c = e.leading(key)
-        if c != 1:
-            raise AssertionError("level elements must be monic")
-        leads.append((pos, exp))
+    # _module_divide would loop forever on a divisor whose lead is not monic
+    if any(e.coordinates[pos].terms[exp] != 1 for e, (pos, exp) in zip(elements, leads)):
+        raise AssertionError("level elements must be monic")
     flat = [_term_table(e) for e in elements]
     t = len(elements)
     out = []
@@ -236,7 +237,7 @@ def _level_syzygies(elements, key, shifts):
                 raise AssertionError("transcript integrity failure: "
                                      f"pair ({i}, {j}) left a remainder")
             out.append(_syzygy_from_pair(i, j, quots, leads, flat, ambient, shifts))
-    return leads, out
+    return out
 
 
 def schreyer_syzygies(gb: GroebnerBasis, weights=None) -> list[FreeModuleElement]:
@@ -246,17 +247,20 @@ def schreyer_syzygies(gb: GroebnerBasis, weights=None) -> list[FreeModuleElement
     if weights is None:
         weights = (1,) * len(gb.generators[0].variables)
     shifts = tuple(g.weighted_degree(weights) for g in gb.generators)
-    return _ring_syzygies(gb, shifts)[1]
+    return _ring_syzygies(gb, shifts)
 
 
 def _prune_and_sort(elements, key):
     """Keep a minimal Groebner subset, arranged for the length bound.
 
-    An element whose leading monomial is divisible by another kept one at
-    the same position is redundant.  Survivors are sorted by position, then
-    by descending plain-lex leading exponent; with that arrangement each
-    level drops one more variable from the leading monomials, which caps
-    the resolution length by the variable count.
+    Returns the kept elements, made monic, and their leading monomials
+    (pos, exp) under key.  An element whose leading monomial is divisible
+    by another kept one at the same position is redundant; among equal
+    leading monomials the first by ``sort_key`` is kept.  Survivors are
+    sorted by position, then by descending plain-lex leading exponent (kept
+    leading monomials are distinct); with that arrangement each level drops
+    one more variable from the leading monomials, which caps the resolution
+    length by the variable count.
     """
     info = []
     for s in elements:
@@ -266,16 +270,11 @@ def _prune_and_sort(elements, key):
         info.append(((pos, exp), s))
     info.sort(key=lambda it: (it[0][0], sum(it[0][1]), it[0][1], it[1].sort_key()))
     kept: list[tuple] = []
-    kept_elems: list[FreeModuleElement] = []
     for (pos, exp), s in info:
-        if any(kp == pos and exp_divides(ke, exp) for kp, ke in kept):
-            continue
-        kept.append((pos, exp))
-        kept_elems.append(s)
-    arranged = sorted(zip(kept, kept_elems),
-                      key=lambda it: (it[0][0], tuple(-e for e in it[0][1]),
-                                      it[1].sort_key()))
-    return [s for _, s in arranged]
+        if not any(kp == pos and exp_divides(ke, exp) for (kp, ke), _ in kept):
+            kept.append(((pos, exp), s))
+    kept.sort(key=lambda it: (it[0][0], tuple(-e for e in it[0][1])))
+    return [s for _, s in kept], [lead for lead, _ in kept]
 
 
 # ---- graded resolutions -----------------------------------------------------
@@ -383,8 +382,8 @@ def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
         return GradedResolution([1], [[0]], [], variables, weights)
     order = SchreyerOrder.rank_one(pres.order)
     rank_one = [FreeModuleElement((g,), (0,)) for g in pres.generators]
-    kept = [e.coordinates[0] for e in _prune_and_sort(rank_one, order.key)]
-    gb = GroebnerBasis(kept, pres.order)
+    kept, leads = _prune_and_sort(rank_one, order.key)
+    gb = GroebnerBasis([e.coordinates[0] for e in kept], pres.order)
     # gb must span every generator; the level-1 transcripts check it is a basis
     if any(gb.normal_form(g) for g in pres.generators):
         raise ValueError("presentation generators are not a Groebner basis")
@@ -392,81 +391,69 @@ def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
     nvars = len(variables)
     shifts: list[list[int]] = [[0], [g.weighted_degree(weights) for g in gb]]
     diffs: list[list[list[Polynomial]]] = [[list(gb.generators)]]
-    leads, syz = _ring_syzygies(gb, tuple(shifts[-1]))
+    syz = _ring_syzygies(gb, tuple(shifts[-1]))
     while syz:
         if len(diffs) >= nvars:
             raise AssertionError("resolution exceeded the variable-count bound")
         order = order.next(leads)
-        nxt = _prune_and_sort(syz, order.key)
+        nxt, leads = _prune_and_sort(syz, order.key)
         diffs.append([[nxt[c].coordinates[r] for c in range(len(nxt))]
                       for r in range(len(shifts[-1]))])
         shifts.append([s.degree(weights) for s in nxt])
-        leads, syz = _level_syzygies(nxt, order.key, tuple(shifts[-1]))
+        syz = _level_syzygies(nxt, leads, order.key, tuple(shifts[-1]))
     ranks = [len(s) for s in shifts]
     return GradedResolution(ranks, shifts, diffs, variables, weights)
+
+
+def _first_unit(mat, start):
+    """(row, column) of the first nonzero constant of mat in row-major
+    order from row start on, or None."""
+    for r in range(start, len(mat)):
+        for c, entry in enumerate(mat[r]):
+            if _constant_value(entry) is not None:
+                return r, c
+    return None
 
 
 def minimalize(res: GradedResolution) -> GradedResolution:
     """Cancel unit entries to extract the minimal resolution.
 
-    Each nonzero constant entry spans a trivial direct summand; clearing its
-    row and column with exact row/column operations (mirrored onto the
-    neighbouring differentials) and deleting both basis vectors splits the
-    summand off without changing homology.  Entries are processed one at a
-    time in row-major scan order for reproducibility.
+    A nonzero constant u at (r0, c0) of d_k spans a trivial direct summand.
+    Splitting it off replaces d_k by its Schur complement on the other rows
+    and columns, entry (r, c) becoming d_k[r][c] - d_k[r][c0] * d_k[r0][c] / u,
+    and deletes row c0 of d_{k+1} and column r0 of d_{k-1} with the two
+    basis vectors.  Units are cancelled one at a time in row-major scan
+    order, so the output is reproducible.
+
+    The resolution must be graded with positive weights: each entry (r, c)
+    of d_k is zero or homogeneous of degree shifts[k+1][c] - shifts[k][r].
     """
     diffs = [[row[:] for row in mat] for mat in res.differentials]
     shifts = [list(s) for s in res.shifts]
-    zero = Polynomial.zero(res.variables)
-    while True:
-        found = None
-        for k, mat in enumerate(diffs):
-            for r, row in enumerate(mat):
-                for c, entry in enumerate(row):
-                    if _constant_value(entry) is not None:
-                        found = (k, r, c)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
-            break
-        k, r0, c0 = found
-        mat = diffs[k]
-        u = _constant_value(mat[r0][c0])
-        inv = _inverse(u)
-        lam = {c: mat[r0][c].scale(inv) for c in range(len(mat[r0]))
-               if c != c0 and mat[r0][c]}
-        for c, l in lam.items():
-            for r in range(len(mat)):
-                if mat[r][c0]:
-                    mat[r][c] = mat[r][c] - l * mat[r][c0]
-        if k + 1 < len(diffs) and lam:
-            nxt = diffs[k + 1]
-            for c, l in lam.items():
-                for cc in range(len(nxt[c])):
-                    if nxt[c][cc]:
-                        nxt[c0][cc] = nxt[c0][cc] + l * nxt[c][cc]
-        mu = {r: mat[r][c0].scale(inv) for r in range(len(mat))
-              if r != r0 and mat[r][c0]}
-        for r in mu:
-            mat[r][c0] = zero
-        if k - 1 >= 0 and mu:
-            prv = diffs[k - 1]
-            for r, m in mu.items():
-                for q in range(len(prv)):
-                    if prv[q][r]:
-                        prv[q][r0] = prv[q][r0] + m * prv[q][r]
-        diffs[k] = [[row[c] for c in range(len(row)) if c != c0]
-                    for r, row in enumerate(mat) if r != r0]
-        if k + 1 < len(diffs):
-            diffs[k + 1] = [row for r, row in enumerate(diffs[k + 1]) if r != c0]
-        if k - 1 >= 0:
-            diffs[k - 1] = [[row[c] for c in range(len(row)) if c != r0]
-                            for row in diffs[k - 1]]
-        del shifts[k + 1][c0]
-        del shifts[k][r0]
+    for k, mat in enumerate(diffs):
+        r0 = 0
+        # A cancellation leaves d_{k-1} and d_{k+1} without new entries, and
+        # puts a new constant at (r, c) of d_k only if d_k[r][c0] and
+        # d_k[r0][c] both have degree 0 (their degrees add up to that of
+        # (r, c)).  Then d_k[r][c0] is a unit too, so r > r0, or the scan
+        # would have picked it first: the scan resumes at row r0.
+        while (unit := _first_unit(mat, r0)) is not None:
+            r0, c0 = unit
+            pivot = mat.pop(r0)
+            inv = _inverse(_constant_value(pivot.pop(c0)))
+            lam = [(c, p.scale(inv)) for c, p in enumerate(pivot) if p]
+            for row in mat:
+                m = row.pop(c0)
+                if m:
+                    for c, l in lam:
+                        row[c] = row[c] - l * m
+            if k + 1 < len(diffs):
+                del diffs[k + 1][c0]
+            if k:
+                for row in diffs[k - 1]:
+                    del row[r0]
+            del shifts[k + 1][c0]
+            del shifts[k][r0]
     while len(shifts) > 1 and not shifts[-1]:
         shifts.pop()
         diffs.pop()

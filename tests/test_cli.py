@@ -152,6 +152,17 @@ def test_concat_sweep(capsys):
     assert payload["rows"][0]["beta1"] == 6
 
 
+def test_concat_sweep_guards_every_generator(capsys):
+    # p = 6 concatenates the 7 generators 13, 15, 17, 19, 21, 22, 24
+    code, out, err = run(capsys, "concat-sweep", "--a", "13", "--d", "2",
+                         "--b", "22", "--p", "6")
+    assert (code, out) == (2, "")
+    assert "7 variables exceed the bound 6" in err
+    code, _, err = run(capsys, "betti", "13", "15", "17", "19", "21", "22", "24")
+    assert code == 2
+    assert "7 variables exceed the bound 6" in err
+
+
 def test_validation_exit_code(capsys):
     code, _, err = run(capsys, "semigroup", "4", "6")
     assert code == 1

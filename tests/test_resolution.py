@@ -3,6 +3,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monocurves import (GradedResolution, MonomialOrder, Polynomial, buchberger,
                         betti_numbers, free_resolution, minimal_generators,
@@ -80,6 +82,7 @@ def test_minimalize_cancels_trivial_padding():
     res = minimalize(padded)
     assert res.ranks == [1, 1]
     assert res.differentials == [[[g]]]
+    assert_minimalize_matches_oracle(padded)
 
 
 def test_minimalize_identity_on_minimal():
@@ -371,3 +374,70 @@ def test_corrupted_quotient_breaks_annihilation(corrupt, monkeypatch, capsys):
     assert main(["resolution", "5", "7", "9", "11"]) == 3
     assert capsys.readouterr().err == ("error: internal invariant broken: "
                                        "syzygy does not annihilate the basis\n")
+
+
+# ---- minimalize against the rescanning oracle; the work it does ------------
+
+def assert_minimalize_matches_oracle(raw):
+    import minimalize_oracle
+
+    assert minimalize(raw).to_json_dict() == minimalize_oracle.minimalize(raw).to_json_dict()
+
+
+def test_minimalize_matches_oracle_on_the_corpus(oracle_resolutions):
+    for _, _, raw, _ in oracle_resolutions:
+        assert_minimalize_matches_oracle(raw)
+
+
+@pytest.mark.parametrize("gens", [(3, 5, 7), (5, 7, 9, 11), (6, 7, 8, 9, 10, 11),
+                                  (12, 15, 20, 23), tuple(range(9, 16))])
+def test_minimalize_matches_oracle_on_golden_curves(gens):
+    assert_minimalize_matches_oracle(free_resolution(parametrization_kernel(gens)))
+
+
+def _minimal_exponents(ns):
+    from monocurves import new_semigroup
+
+    return gcd(*ns) == 1 and new_semigroup(ns).minimal_generators == tuple(ns)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.lists(st.integers(2, 20), min_size=3, max_size=4, unique=True)
+       .map(sorted).filter(_minimal_exponents))
+def test_minimalize_matches_oracle_property(exponents):
+    assert_minimalize_matches_oracle(free_resolution(parametrization_kernel(exponents)))
+
+
+def test_resolution_ranks_and_cancels_without_repeats(monkeypatch):
+    # each element entering _prune_and_sort is ranked once and compared by
+    # sort_key once; minimalize resumes its scan after each cancellation
+    # (248 965 _constant_value calls on this curve when it restarted)
+    from monocurves import resolution
+
+    pres = parametrization_kernel(tuple(range(9, 16)))
+    calls = {"entering": 0, "sort_key": 0, "leading": 0, "constant": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    prune = resolution._prune_and_sort
+
+    def entering(elements, key):
+        calls["entering"] += len(elements)
+        return prune(elements, key)
+
+    monkeypatch.setattr(resolution, "_prune_and_sort", entering)
+    for name in ("sort_key", "leading"):
+        monkeypatch.setattr(resolution.FreeModuleElement, name,
+                            counted(name, getattr(resolution.FreeModuleElement, name)))
+    raw = free_resolution(pres)
+    assert calls["entering"] > 0
+    assert calls["sort_key"] == calls["leading"] == calls["entering"]
+
+    monkeypatch.setattr(resolution, "_constant_value",
+                        counted("constant", resolution._constant_value))
+    minimalize(raw)
+    assert 0 < calls["constant"] < 20_000
