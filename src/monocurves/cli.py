@@ -81,10 +81,16 @@ def _basis_under(order, pres, args) -> GroebnerBasis:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """An integer n, or the inclusive range lo:hi with lo <= hi."""
+    lo, sep, hi = text.partition(":")
+    try:
+        lo = int(lo)
+        hi = int(hi) if sep else lo
+    except ValueError:
+        raise ValueError(f"range {text!r} is not an integer or lo:hi") from None
+    if hi < lo:
+        raise ValueError(f"range {text!r} is empty: {hi} < {lo}")
+    return list(range(lo, hi + 1))
 
 
 # ---- commands: each returns (payload dict, text lines) ---------------------

@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 from .orders import MonomialOrder
 from .poly import (_VARIABLE, DivisionRecord, Polynomial, divide, exp_coprime,
-                   exp_divides, exp_lcm, s_polynomial)
+                   exp_divides, exp_lcm, s_polynomial, weighted_degree)
 
 
 class ComputationLimitExceeded(RuntimeError):
@@ -80,29 +80,39 @@ class GroebnerBasis:
         return {(i, j): self.transcript(i, j) for i in range(n) for j in range(i + 1, n)}
 
 
-def _complete(basis: list[Polynomial], order: MonomialOrder, first: int,
-              max_basis: int | None = None) -> None:
-    """Complete the monic list basis in place, queueing only the pairs with
-    an element from index first on: basis[:first] is a Groebner basis.
+def _complete_with(basis: list, lead, reduce, first: int,
+                   max_basis: int | None = None, bound=None) -> None:
+    """The pair queue of Buchberger's algorithm, for any representation.
+
+    Completes basis in place, queueing only the pairs with an element from
+    index first on: basis[:first] is a Groebner basis.  lead(g) is the
+    leading exponent of an element; reduce(i, j) returns the monic
+    remainder of the S-pair (i, j) on division by basis, or None when it
+    reduces to zero.  Pairs pop by least lcm total degree, ties by index.
 
     Pairs with coprime leading monomials are never queued.  A popped pair
     (i, j) is skipped by the chain criterion when some other leading
     monomial lead_k divides lcm(lead_i, lead_j) and neither (i, k) nor
-    (j, k) is still queued (Gebauer and Moeller 1988).
+    (j, k) is still queued (Gebauer and Moeller 1988).  bound = (weights, D)
+    truncates at weighted degree D: no pair whose lcm lies above D is
+    queued.  The chain criterion stays sound under it, as the pairs (i, k)
+    and (j, k) it relies on have lcms dividing lcm(lead_i, lead_j).
     """
-    pairs: list[tuple[int, int, int]] = []
+    pairs: list[tuple[int, int, int, tuple[int, ...]]] = []
     pending: set[tuple[int, int]] = set()
-    leads = [g.leading(order)[0] for g in basis]
+    leads = [lead(g) for g in basis]
+    weights, top = bound if bound is not None else ((), None)
 
     def add_pairs(k):
         lead_k = leads[k]
         for i in range(k):
             if not exp_coprime(leads[i], lead_k):
-                heapq.heappush(pairs, (sum(exp_lcm(leads[i], lead_k)), i, k))
-                pending.add((i, k))
+                lcm = exp_lcm(leads[i], lead_k)
+                if top is None or weighted_degree(lcm, weights) <= top:
+                    heapq.heappush(pairs, (sum(lcm), i, k, lcm))
+                    pending.add((i, k))
 
-    def chained(i, j):
-        lcm = exp_lcm(leads[i], leads[j])
+    def chained(i, j, lcm):
         for k, lead_k in enumerate(leads):
             if (k != i and k != j and all(map(le, lead_k, lcm))
                     and (min(i, k), max(i, k)) not in pending
@@ -113,22 +123,33 @@ def _complete(basis: list[Polynomial], order: MonomialOrder, first: int,
     for k in range(first, len(basis)):
         add_pairs(k)
     while pairs:
-        _, i, j = heapq.heappop(pairs)
+        _, i, j, lcm = heapq.heappop(pairs)
         pending.discard((i, j))
-        if chained(i, j):
+        if chained(i, j, lcm):
             continue
-        s = s_polynomial(basis[i], basis[j], order)
-        if not s:
-            continue
-        r = divide(s, basis, order).remainder
-        if not r:
+        r = reduce(i, j)
+        if r is None:
             continue
         if max_basis is not None and len(basis) >= max_basis:
             raise ComputationLimitExceeded(
                 f"Groebner basis exceeded {max_basis} elements")
-        basis.append(r.monic(order))
-        leads.append(basis[-1].leading(order)[0])
+        basis.append(r)
+        leads.append(lead(r))
         add_pairs(len(basis) - 1)
+
+
+def _complete(basis: list[Polynomial], order: MonomialOrder, first: int,
+              max_basis: int | None = None, bound=None) -> None:
+    """_complete_with on monic Polynomials: each S-polynomial is divided
+    by the basis and a nonzero remainder joins it made monic."""
+
+    def reduce(i, j):
+        s = s_polynomial(basis[i], basis[j], order)
+        r = divide(s, basis, order).remainder if s else s
+        return r.monic(order) if r else None
+
+    _complete_with(basis, lambda g: g.leading(order)[0], reduce, first,
+                   max_basis, bound)
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,

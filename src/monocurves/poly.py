@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .orders import MonomialOrder
@@ -31,7 +31,8 @@ def exp_divides(u, v):
 
 
 def exp_coprime(u, v):
-    return all(a == 0 or b == 0 for a, b in zip(u, v))
+    # exponents are nonnegative: a * b is zero exactly when one of them is
+    return not any(map(mul, u, v))
 
 
 def weighted_degree(u, weights) -> int:

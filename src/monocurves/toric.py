@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from math import gcd
+from operator import add, itemgetter, le, sub
 from typing import Sequence
 
-from .groebner import GroebnerBasis, _complete, reduce_basis
+from .groebner import GroebnerBasis, _complete, _complete_with
 from .orders import MonomialOrder
-from .poly import Polynomial, _check_variables, divide
+from .poly import (Polynomial, _check_variables, divide, exp_add, exp_lcm,
+                   exp_sub)
 from .semigroup import NumericalSemigroup
 
 
@@ -77,16 +80,41 @@ def _lattice_basis(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [tuple(cols[j]) for j in range(n) if j != live[0]]
 
 
-def _saturate(basis: list[Polynomial], i: int) -> list[Polynomial]:
-    """Divide each binomial by the largest power of x_i dividing both terms."""
-    out = []
-    for g in basis:
-        k = min(exp[i] for exp in g.terms)
-        if k:
-            g = Polynomial._raw(g.variables, {exp[:i] + (exp[i] - k,) + exp[i + 1:]: c
-                                              for exp, c in g.terms.items()})
-        out.append(g)
-    return out
+def _normal_form(m: tuple[int, ...], basis) -> tuple[int, ...]:
+    """Rewrite the monomial m by the first binomial (lead, tail) of basis
+    whose lead divides it, x^m -> x^(m - lead + tail), until none does."""
+    while True:
+        for lead, tail in basis:
+            if all(map(le, lead, m)):
+                m = tuple(map(add, map(sub, m, lead), tail))
+                break
+        else:
+            return m
+
+
+def _spair_remainder(basis, key, i: int, j: int):
+    """The S-pair of x^a - x^b and x^c - x^d is x^(L-c+d) - x^(L-a+b) with
+    L = lcm(a, c); its remainder on division by the monic binomials of basis
+    is the difference of the two normal forms, oriented by key, or None."""
+    (a, b), (c, d) = basis[i], basis[j]
+    lcm = exp_lcm(a, c)
+    p = _normal_form(exp_add(exp_sub(lcm, a), b), basis)
+    q = _normal_form(exp_add(exp_sub(lcm, c), d), basis)
+    if p == q:
+        return None
+    return (p, q) if key(p) > key(q) else (q, p)
+
+
+def _reduced(basis, key) -> list:
+    """The reduced basis: leads that another lead divides are dropped, then
+    each tail is brought to normal form against the others in turn."""
+    kept = []
+    for g in sorted(basis, key=lambda g: key(g[0])):
+        if not any(all(map(le, h[0], g[0])) for h in kept):
+            kept.append(g)
+    for i, (lead, tail) in enumerate(kept):
+        kept[i] = (lead, _normal_form(tail, kept[:i] + kept[i + 1:]))
+    return kept
 
 
 def parametrization_kernel(exponents: Sequence[int],
@@ -105,6 +133,14 @@ def parametrization_kernel(exponents: Sequence[int],
     (Bayer and Stillman).  The last variable is x_p, so the last
     completion already runs under the output order.  max_basis bounds
     every intermediate basis (ComputationLimitExceeded).
+
+    Every ideal on the way is binomial, so the loop holds each monic
+    binomial x^lead - x^tail as the exponent pair (lead, tail) and runs the
+    pair queue of ``_complete_with`` on it: dividing a monomial by a monic
+    binomial gives a monomial, so the remainder of x^p - x^q is the
+    difference of the two first-match normal forms, zero exactly when they
+    meet.  The steps, the intermediate bases and the output are those of the
+    same loop on Polynomials; the pairs become Polynomials once, at the end.
     """
     exponents = tuple(exponents)
     if not exponents or any(not isinstance(n, int) or n < 1 for n in exponents):
@@ -121,18 +157,26 @@ def parametrization_kernel(exponents: Sequence[int],
         if len(variables) != len(exponents):
             raise ValueError("one variable per exponent")
         _check_variables(variables)
-    basis = [Polynomial._raw(variables, {tuple(max(a, 0) for a in v): 1,
-                                         tuple(max(-a, 0) for a in v): -1})
+    basis = [(tuple(max(a, 0) for a in v), tuple(max(-a, 0) for a in v))
              for v in _lattice_basis(exponents)]
     nvars = len(exponents)
     order = MonomialOrder.weighted(exponents)
     for i in range(nvars):
         step = order if i == nvars - 1 else MonomialOrder.weighted(
             exponents, tuple(j for j in range(nvars) if j != i) + (i,))
-        basis = [b.monic(step) for b in basis]
-        _complete(basis, step, 0, max_basis)
-        basis = list(reduce_basis(GroebnerBasis(_saturate(basis, i), step)).generators)
-    return GradedIdealPresentation(variables, exponents, order, tuple(basis))
+        key = step.key
+        basis = [(u, v) if key(u) > key(v) else (v, u) for u, v in basis]
+        _complete_with(basis, itemgetter(0), partial(_spair_remainder, basis, key),
+                       0, max_basis)
+        saturated = []
+        for u, v in basis:
+            k = min(u[i], v[i])
+            saturated.append((u[:i] + (u[i] - k,) + u[i + 1:],
+                              v[:i] + (v[i] - k,) + v[i + 1:]))
+        basis = _reduced(saturated, key)
+    return GradedIdealPresentation(
+        variables, exponents, order,
+        tuple(Polynomial._raw(variables, {u: 1, v: -1}) for u, v in basis))
 
 
 def defining_ideal(curve: MonomialCurve, *,
@@ -149,6 +193,9 @@ def minimal_generators(pres: GradedIdealPresentation) -> GradedIdealPresentation
     exactly when it reduces to zero against the ideal of those already
     retained.  Graded Nakayama makes the count independent of tie order.
     One Groebner basis grows along the scan: only new pairs are completed.
+    The generators are weighted-homogeneous with positive weights, so a
+    basis truncated at D, the largest generator degree, decides membership
+    in every degree up to D: no pair whose lcm lies above D is queued.
     """
     weights, order = pres.weights, pres.order
     for g in pres.generators:
@@ -156,6 +203,7 @@ def minimal_generators(pres: GradedIdealPresentation) -> GradedIdealPresentation
             raise ValueError(f"non-homogeneous generator {g}")
     ordered = sorted(pres.generators,
                      key=lambda g: (g.weighted_degree(weights), g.sort_key()))
+    bound = (weights, max((g.weighted_degree(weights) for g in ordered), default=0))
     retained: list[Polynomial] = []
     basis: list[Polynomial] = []
     for g in ordered:
@@ -163,7 +211,7 @@ def minimal_generators(pres: GradedIdealPresentation) -> GradedIdealPresentation
             continue
         retained.append(g)
         basis.append(g.monic(order))
-        _complete(basis, order, len(basis) - 1)
+        _complete(basis, order, len(basis) - 1, bound=bound)
     return replace(pres, generators=tuple(retained), beta1=len(retained))
 
 

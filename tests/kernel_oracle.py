@@ -1,15 +1,27 @@
-"""The toric kernel by elimination of the parameter: the test oracle.
+"""Two test oracles for the toric kernel.
 
-Start from the relations x_i - t^(n_i) under a block order putting t first;
-the t-free part of the completed basis is a Groebner basis of the kernel
-under the weighted grevlex order with weights n_i.  Slow, but independent
-of the lattice computation in ``parametrization_kernel``.
+``elimination_kernel``: start from the relations x_i - t^(n_i) under a
+block order putting t first; the t-free part of the completed basis is a
+Groebner basis of the kernel under the weighted grevlex order with weights
+n_i.  Slow, but independent of the lattice computation in
+``parametrization_kernel``.
+
+``polynomial_kernel``: the lattice loop of ``parametrization_kernel`` run on
+``Polynomial`` objects, with S-polynomials, ``divide`` and ``reduce_basis``
+and its own copy of the pair queue.  It takes the same steps as the
+exponent-pair engine, so it gives the same bases and the same
+``max_basis`` outcomes.
 """
 
 from __future__ import annotations
 
-from monocurves import (GroebnerBasis, MonomialOrder, Polynomial, buchberger,
-                        reduce_basis)
+import heapq
+from operator import le
+
+from monocurves import (ComputationLimitExceeded, GroebnerBasis, MonomialOrder,
+                        Polynomial, buchberger, reduce_basis)
+from monocurves.poly import divide, exp_coprime, exp_lcm, s_polynomial
+from monocurves.toric import _lattice_basis
 
 
 def elimination_relations(exponents):
@@ -38,3 +50,80 @@ def elimination_kernel(exponents, variables=None):
     if kept:
         kept = list(reduce_basis(GroebnerBasis(kept, order)).generators)
     return tuple(kept), order
+
+
+def polynomial_complete(basis, order, max_basis=None):
+    """Complete the monic list basis in place: pairs by least lcm total
+    degree, then index; coprime leads never queued; the chain criterion."""
+    pairs = []
+    pending = set()
+    leads = [g.leading(order)[0] for g in basis]
+
+    def add_pairs(k):
+        lead_k = leads[k]
+        for i in range(k):
+            if not exp_coprime(leads[i], lead_k):
+                heapq.heappush(pairs, (sum(exp_lcm(leads[i], lead_k)), i, k))
+                pending.add((i, k))
+
+    def chained(i, j):
+        lcm = exp_lcm(leads[i], leads[j])
+        for k, lead_k in enumerate(leads):
+            if (k != i and k != j and all(map(le, lead_k, lcm))
+                    and (min(i, k), max(i, k)) not in pending
+                    and (min(j, k), max(j, k)) not in pending):
+                return True
+        return False
+
+    for k in range(len(basis)):
+        add_pairs(k)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        pending.discard((i, j))
+        if chained(i, j):
+            continue
+        s = s_polynomial(basis[i], basis[j], order)
+        if not s:
+            continue
+        r = divide(s, basis, order).remainder
+        if not r:
+            continue
+        if max_basis is not None and len(basis) >= max_basis:
+            raise ComputationLimitExceeded(
+                f"Groebner basis exceeded {max_basis} elements")
+        basis.append(r.monic(order))
+        leads.append(basis[-1].leading(order)[0])
+        add_pairs(len(basis) - 1)
+
+
+def saturate(basis, i):
+    """Divide each binomial by the largest power of x_i dividing both terms."""
+    out = []
+    for g in basis:
+        k = min(exp[i] for exp in g.terms)
+        if k:
+            g = Polynomial._raw(g.variables, {exp[:i] + (exp[i] - k,) + exp[i + 1:]: c
+                                              for exp, c in g.terms.items()})
+        out.append(g)
+    return out
+
+
+def polynomial_kernel(exponents, variables=None, max_basis=None):
+    """(generators, order) of the reduced kernel basis, by the lattice loop
+    on Polynomials; ComputationLimitExceeded as parametrization_kernel."""
+    exponents = tuple(exponents)
+    if variables is None:
+        variables = tuple(f"x{i}" for i in range(len(exponents)))
+    variables = tuple(variables)
+    basis = [Polynomial._raw(variables, {tuple(max(a, 0) for a in v): 1,
+                                         tuple(max(-a, 0) for a in v): -1})
+             for v in _lattice_basis(exponents)]
+    nvars = len(exponents)
+    order = MonomialOrder.weighted(exponents)
+    for i in range(nvars):
+        step = order if i == nvars - 1 else MonomialOrder.weighted(
+            exponents, tuple(j for j in range(nvars) if j != i) + (i,))
+        basis = [b.monic(step) for b in basis]
+        polynomial_complete(basis, step, max_basis)
+        basis = list(reduce_basis(GroebnerBasis(saturate(basis, i), step)).generators)
+    return tuple(basis), order

@@ -152,6 +152,16 @@ def test_concat_sweep(capsys):
     assert payload["rows"][0]["beta1"] == 6
 
 
+def test_concat_sweep_rejects_bad_ranges(capsys):
+    for text, message in [("5:3", "range '5:3' is empty: 3 < 5"),
+                          ("5:", "range '5:' is not an integer or lo:hi"),
+                          (":5", "range ':5' is not an integer or lo:hi")]:
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "concat-sweep", "--a", text, "--d", "3",
+                                 "--b", "19", "--format", fmt)
+            assert (code, out, err) == (1, "", f"error: {message}\n"), (text, fmt)
+
+
 def test_concat_sweep_guards_every_generator(capsys):
     # p = 6 concatenates the 7 generators 13, 15, 17, 19, 21, 22, 24
     code, out, err = run(capsys, "concat-sweep", "--a", "13", "--d", "2",

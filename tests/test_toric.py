@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_oracle import elimination_kernel
+from kernel_oracle import elimination_kernel, polynomial_kernel
 
 import monocurves.groebner as groebner_module
 from monocurves import (ComputationLimitExceeded, GradedIdealPresentation,
@@ -187,6 +187,67 @@ def test_kernel_matches_oracle_property(exponents):
     assert eta_check(assert_matches_oracle(exponents))
 
 
+def kernel_outcome(kernel, exponents, variables=None, max_basis=None):
+    """The printed basis and order, or the message of the limit raised."""
+    try:
+        gens, order = kernel(exponents, variables, max_basis)
+    except ComputationLimitExceeded as exc:
+        return str(exc)
+    assert all(type(c) is int for g in gens for c in g.terms.values())
+    return [str(g) for g in gens], repr(order)
+
+
+def engine_kernel(exponents, variables=None, max_basis=None):
+    pres = parametrization_kernel(exponents, variables, max_basis=max_basis)
+    return pres.generators, pres.order
+
+
+def assert_matches_polynomial_oracle(exponents, variables=None, max_basis=None):
+    engine = kernel_outcome(engine_kernel, exponents, variables, max_basis)
+    oracle = kernel_outcome(polynomial_kernel, exponents, variables, max_basis)
+    assert engine == oracle, (exponents, max_basis)
+    return engine
+
+
+def test_kernel_matches_polynomial_oracle_at_every_max_basis():
+    # max_basis bounds every intermediate basis, so equal outcomes at every
+    # bound mean the two loops grow their bases alike step for step
+    inst = bresinsky_sequence(6)
+    for exponents, variables in [((12, 15, 20, 23), None),
+                                 ((10, 11, 13, 17, 19), None),
+                                 (inst.n, inst.variables)]:
+        outcomes = [assert_matches_polynomial_oracle(exponents, variables, k)
+                    for k in range(1, 31)]
+        assert isinstance(outcomes[0], str) and not isinstance(outcomes[-1], str)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.lists(st.integers(1, 30), min_size=3, max_size=5)
+       .filter(lambda ns: gcd(*ns) == 1))
+def test_kernel_matches_polynomial_oracle_property(exponents):
+    assert_matches_polynomial_oracle(exponents)
+
+
+def window_curves(multiplicities, dims):
+    """Every gcd-1 sequence m < n_1 < ... < n_(e-1) < 2m: all minimal, as
+    a sum of two generators is at least 2m."""
+    return [(m,) + rest for m in multiplicities for e in dims
+            for rest in combinations(range(m + 1, 2 * m), e - 1)
+            if gcd(m, *rest) == 1]
+
+
+@pytest.mark.slow
+def test_kernel_matches_polynomial_oracle_wide():
+    curves = window_curves(range(4, 11), (4, 5, 6)) + window_curves((12,), (4,))
+    assert len(curves) == 666 + 154
+    curves += [tuple(range(9, 16)), (101, 103, 107, 109)]
+    for exponents in curves:
+        assert_matches_polynomial_oracle(exponents)
+    for q2 in (4, 8, 12, 16, 20):
+        inst = bresinsky_sequence(q2)
+        assert_matches_polynomial_oracle(inst.n, inst.variables)
+
+
 def restart_minimal_generators(pres):
     """The greedy scan with Buchberger rerun from scratch on the retained
     generators after each one it keeps: the oracle for the growing basis."""
@@ -227,4 +288,13 @@ def test_minimal_generators_forms_each_pair_once(monkeypatch):
         pres = parametrization_kernel(gens)
         formed.clear()
         minimal_generators(pres)
-        assert formed and len(set(formed)) == len(formed), gens
+        assert len(set(formed)) == len(formed), gens
+        # the completion is truncated at the top generator degree: the two
+        # others need no S-pair below it
+        assert bool(formed) == (gens == (12, 15, 20, 23)), gens
+    inst = bresinsky_sequence(16)
+    pres = parametrization_kernel(inst.n, inst.variables)
+    formed.clear()
+    assert minimal_generators(pres).beta1 == 32
+    # 795 pairs without the truncation
+    assert len(formed) == len(set(formed)) == 55
