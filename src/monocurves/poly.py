@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, le, mul, sub
 from typing import Mapping, Sequence
 
 from .orders import MonomialOrder
@@ -27,7 +27,7 @@ def exp_lcm(u, v):
 
 def exp_divides(u, v):
     """True when the monomial with exponents u divides the one with v."""
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def exp_coprime(u, v):

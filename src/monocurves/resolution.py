@@ -1,14 +1,16 @@
 """Schreyer syzygies, graded free resolutions, minimalization, Betti numbers.
 
 The resolution is built level by level.  A Groebner basis of the ideal gives
-the first differential; the reduction transcript of each S-pair
-(``GroebnerBasis.transcript`` at the first level) yields a generating set of
-the syzygy module which is again a Groebner basis with respect to the order
-induced on positions by the parent leading terms, so the construction
-iterates without ever running a module Buchberger completion.
-Minimalization then splits off the trivial summands one unit entry at a
-time, keeping the Schur complement of the differential that holds it; the
-surviving ranks are the Betti numbers.
+the first differential; the reduction transcript of each S-pair yields a
+generating set of the syzygy module which is again a Groebner basis with
+respect to the order induced on positions by the parent leading terms, so
+the construction iterates without ever running a module Buchberger
+completion.  Every level, the ring one included, runs the same sparse
+S-pair division on term maps {(pos, exp): c}, and the leading monomial of
+each syzygy is read off its pair (Schreyer's theorem), so no term is ranked
+to prune a level.  Minimalization then splits off the trivial summands one
+unit entry at a time, keeping the Schur complement of the differential that
+holds it; the surviving ranks are the Betti numbers.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Sequence
 
 from .groebner import GroebnerBasis
 from .orders import MonomialOrder
-from .poly import (Polynomial, _inverse, exp_add, exp_divides, exp_lcm, exp_sub,
-                   weighted_degree)
+from .poly import (Polynomial, _inverse, exp_add, exp_coprime, exp_divides, exp_lcm,
+                   exp_sub, weighted_degree)
 from .toric import GradedIdealPresentation, MonomialCurve, defining_ideal, monomial_curve
 
 
@@ -68,8 +70,7 @@ class SchreyerOrder:
 class FreeModuleElement:
     """Vector of polynomials in a graded free module.
 
-    ``shifts`` carries the weighted-degree label of each basis vector of the
-    ambient module, so homogeneity of the element is checkable locally.
+    ``shifts`` holds the weighted-degree label of each ambient basis vector.
     """
 
     __slots__ = ("coordinates", "shifts")
@@ -95,10 +96,6 @@ class FreeModuleElement:
     def __repr__(self):
         return "(" + ", ".join(str(p) for p in self.coordinates) + ")"
 
-    def scale(self, c) -> "FreeModuleElement":
-        return FreeModuleElement(tuple(p.scale(c) for p in self.coordinates),
-                                 self.shifts)
-
     def leading(self, key):
         """(position, exponents, coefficient) of the largest module monomial
         under the module order ``key``."""
@@ -109,48 +106,45 @@ class FreeModuleElement:
         pos, exp = best
         return pos, exp, self.coordinates[pos].terms[exp]
 
-    def degree(self, weights) -> int:
-        """Homogeneous degree; raises when coordinates disagree."""
-        degs = set()
-        for shift, poly in zip(self.shifts, self.coordinates):
-            for exp in poly.terms:
-                degs.add(weighted_degree(exp, weights) + shift)
-        if len(degs) != 1:
-            raise ValueError(f"element is not homogeneous (degrees {sorted(degs)})")
-        return degs.pop()
-
     def sort_key(self):
         return tuple(p.sort_key() for p in self.coordinates)
 
 
-def _term_table(e: FreeModuleElement) -> tuple:
-    """The terms ((position, exponents), coefficient) of a module element."""
-    return tuple(((pos, exp), c)
-                 for pos, poly in enumerate(e.coordinates)
-                 for exp, c in poly.terms.items())
+def _coordinates(element: dict, rank: int) -> list[dict]:
+    """The coordinate term maps exp -> c of a term-map element of R^rank."""
+    coords: list[dict] = [{} for _ in range(rank)]
+    for (pos, exp), c in element.items():
+        coords[pos][exp] = c
+    return coords
 
 
-def _module_divide(p: dict, leads, flat, key):
-    """Divide the vector with term map p (consumed) by monic divisors with
-    leading monomials leads and term tables flat; returns (quotients,
-    remainder dict).
+def _dense_key(element: dict, rank: int):
+    """``FreeModuleElement.sort_key`` of a term-map element of R^rank."""
+    return tuple(tuple(sorted((exp, (c.numerator, c.denominator)) for exp, c in h.items()))
+                 for h in _coordinates(element, rank))
 
-    Same first-match strategy as ring division, restricted to divisors whose
-    leading monomial sits at the current leading position.  key is the
-    module order; each module monomial is ranked once, when it enters p.
+
+def _module_divide(p: dict, divisors, elements, key):
+    """Divide the vector with term map p (consumed) by monic term-map
+    elements; returns (quotients as one term map {(k, exp): c}, remainder).
+
+    divisors[pos] lists, by index, the (k, exp) of the elements k with
+    leading monomial (pos, exp): ring division's first match, restricted to
+    the leading position.  Each module monomial is ranked by key once.
     """
-    quots: list[dict] = [{} for _ in flat]
+    quots: dict = {}
     rem: dict = {}
     ranks = {mm: key(mm) for mm in p}
     while p:
         best = max(p, key=ranks.__getitem__)
         c = p[best]
         pos, exp = best
-        for k, (dpos, dexp) in enumerate(leads):
-            if dpos == pos and exp_divides(dexp, exp):
+        for k, dexp in divisors.get(pos, ()):
+            if exp_divides(dexp, exp):
+                # best falls at every step, so each quotient term is new
                 qexp = exp_sub(exp, dexp)
-                quots[k][qexp] = quots[k].get(qexp, 0) + c
-                for (tpos, texp), tc in flat[k]:
+                quots[k, qexp] = c
+                for (tpos, texp), tc in elements[k].items():
                     mm = (tpos, exp_add(qexp, texp))
                     s = p.get(mm, 0) - c * tc
                     if s:
@@ -163,81 +157,75 @@ def _module_divide(p: dict, leads, flat, key):
         else:
             rem[best] = c
             del p[best]
-    return [{e: c for e, c in q.items() if c} for q in quots], rem
+    return quots, rem
 
 
-def _syzygy_from_pair(i, j, quotients, leads, flat, ambient, shifts) -> FreeModuleElement:
-    # Schreyer tuple (h_1, ..., h_i - u, ..., h_j + v, ..., h_t) for the
-    # transcript S(g_i, g_j) = u g_i - v g_j = sum h_k g_k, checked by
-    # accumulating sum h_k g_k over the term tables of the g_k
-    lcm = exp_lcm(leads[i][1], leads[j][1])
-    coords = list(quotients)
-    for k, sign in ((i, -1), (j, 1)):
-        u = exp_sub(lcm, leads[k][1])
-        h = coords[k] = dict(coords[k])
-        s = h.get(u, 0) + sign
-        if s:
-            h[u] = s
-        else:
-            del h[u]
+def _syzygy_from_pair(i, j, u, v, quotients, elements) -> dict:
+    # The negated Schreyer tuple (-h_1, ..., u - h_i, ..., -v - h_j, ...)
+    # of S(g_i, g_j) = u g_i - v g_j = sum h_k g_k, checked by accumulating
+    # sum h_k g_k.  The quotients stay below the lcm, so the lead is (i, u)
+    # with coefficient 1 (ties go to the smaller i); a quotient term at
+    # (i, u) or (j, v) would be overwritten and fail the check.
+    syz = {mm: -c for mm, c in quotients.items()}
+    syz[i, u], syz[j, v] = 1, -1
     total: dict = {}
-    for h, table in zip(coords, flat):
-        for qexp, qc in h.items():
-            for (tpos, texp), tc in table:
-                mm = (tpos, exp_add(qexp, texp))
-                s = total.get(mm, 0) + qc * tc
-                if s:
-                    total[mm] = s
-                else:
-                    del total[mm]
+    for (k, qexp), qc in syz.items():
+        for (tpos, texp), tc in elements[k].items():
+            mm = (tpos, exp_add(qexp, texp))
+            s = total.get(mm, 0) + qc * tc
+            if s:
+                total[mm] = s
+            else:
+                del total[mm]
     if total:
         raise AssertionError("syzygy does not annihilate the basis")
-    return FreeModuleElement([Polynomial._raw(ambient, h) for h in coords], shifts)
+    return syz
 
 
-def _ring_syzygies(gb: GroebnerBasis, shifts):
-    """Level 1: the Schreyer tuples of the ring S-pair transcripts, in pair order."""
-    ambient = gb.generators[0].variables
-    leads = [(0, exp) for exp in gb.leading_exponents]
-    flat = [tuple(((0, exp), c) for exp, c in g.terms.items()) for g in gb.generators]
-    t = len(flat)
-    return [_syzygy_from_pair(i, j, [q.terms for q in gb.transcript(i, j).quotients],
-                              leads, flat, ambient, shifts)
-            for i in range(t) for j in range(i + 1, t)]
+def _syzygies(elements, leads, key, ring: bool):
+    """The negated Schreyer tuples of one level in pair order, monic, and
+    their leading monomials (i, lcm - lead_i), read off the pairs (i, j).
 
-
-def _level_syzygies(elements, leads, key, shifts):
-    """All Schreyer tuples of one module level (2 and up), in pair order.
-
-    leads[k] = (pos, exp) is the leading monomial of elements[k] under key,
-    as ``_prune_and_sort`` found it."""
-    ambient = elements[0].coordinates[0].variables
-    # _module_divide would loop forever on a divisor whose lead is not monic
-    if any(e.coordinates[pos].terms[exp] != 1 for e, (pos, exp) in zip(elements, leads)):
-        raise AssertionError("level elements must be monic")
-    flat = [_term_table(e) for e in elements]
+    elements are monic term maps with leading monomials leads[k] = (pos,
+    exp) under key.  At the ring level (elements of R^1) a coprime pair
+    takes the closed form -(g_j - Lt g_j) g_i + (g_i - Lt g_i) g_j, and a
+    remainder means the input is not a Groebner basis (ValueError).
+    """
     t = len(elements)
-    out = []
+    divisors: dict = {}
+    for k, (pos, exp) in enumerate(leads):
+        divisors.setdefault(pos, []).append((k, exp))
+    out, out_leads = [], []
     for i in range(t):
+        ipos, iexp = leads[i]
         for j in range(i + 1, t):
-            if leads[i][0] != leads[j][0]:
+            jpos, jexp = leads[j]
+            if ipos != jpos:
                 continue
-            lcm = exp_lcm(leads[i][1], leads[j][1])
-            u, v = exp_sub(lcm, leads[i][1]), exp_sub(lcm, leads[j][1])
-            spair = {(pos, exp_add(u, exp)): c for (pos, exp), c in flat[i]}
-            for (pos, exp), c in flat[j]:
-                mm = (pos, exp_add(v, exp))
-                s = spair.get(mm, 0) - c
-                if s:
-                    spair[mm] = s
-                else:
-                    del spair[mm]
-            quots, rem = _module_divide(spair, leads, flat, key)
-            if rem:
-                raise AssertionError("transcript integrity failure: "
-                                     f"pair ({i}, {j}) left a remainder")
-            out.append(_syzygy_from_pair(i, j, quots, leads, flat, ambient, shifts))
-    return out
+            lcm = exp_lcm(iexp, jexp)
+            u, v = exp_sub(lcm, iexp), exp_sub(lcm, jexp)
+            if ring and exp_coprime(iexp, jexp):
+                quots = {(i, exp): -c for (_, exp), c in elements[j].items() if exp != jexp}
+                quots.update(((j, exp), c) for (_, exp), c in elements[i].items() if exp != iexp)
+            else:
+                spair = {(pos, exp_add(u, exp)): c for (pos, exp), c in elements[i].items()}
+                for (pos, exp), c in elements[j].items():
+                    mm = (pos, exp_add(v, exp))
+                    s = spair.get(mm, 0) - c
+                    if s:
+                        spair[mm] = s
+                    else:
+                        del spair[mm]
+                quots, rem = _module_divide(spair, divisors, elements, key)
+                if rem and ring:
+                    raise ValueError(f"not a Groebner basis: pair ({i}, {j}) "
+                                     "does not reduce to zero")
+                if rem:
+                    raise AssertionError("transcript integrity failure: "
+                                         f"pair ({i}, {j}) left a remainder")
+            out.append(_syzygy_from_pair(i, j, u, v, quots, elements))
+            out_leads.append((i, u))
+    return out, out_leads
 
 
 def schreyer_syzygies(gb: GroebnerBasis, weights=None) -> list[FreeModuleElement]:
@@ -247,34 +235,40 @@ def schreyer_syzygies(gb: GroebnerBasis, weights=None) -> list[FreeModuleElement
     if weights is None:
         weights = (1,) * len(gb.generators[0].variables)
     shifts = tuple(g.weighted_degree(weights) for g in gb.generators)
-    return _ring_syzygies(gb, shifts)
+    elements = [{(0, exp): c for exp, c in g.terms.items()} for g in gb.generators]
+    leads = [(0, exp) for exp in gb.leading_exponents]
+    syz, _ = _syzygies(elements, leads, SchreyerOrder.rank_one(gb.order).key, True)
+    return [FreeModuleElement([Polynomial._raw(gb.generators[0].variables,
+                                               {exp: -c for exp, c in h.items()})
+                               for h in _coordinates(s, len(elements))], shifts)
+            for s in syz]
 
 
-def _prune_and_sort(elements, key):
+def _prune_and_sort(leads, tie_key) -> list[int]:
     """Keep a minimal Groebner subset, arranged for the length bound.
 
-    Returns the kept elements, made monic, and their leading monomials
-    (pos, exp) under key.  An element whose leading monomial is divisible
-    by another kept one at the same position is redundant; among equal
-    leading monomials the first by ``sort_key`` is kept.  Survivors are
-    sorted by position, then by descending plain-lex leading exponent (kept
-    leading monomials are distinct); with that arrangement each level drops
-    one more variable from the leading monomials, which caps the resolution
-    length by the variable count.
+    leads[k] = (pos, exp) is the leading monomial of the monic element k,
+    read off its S-pair (at level 0, ``Polynomial.leading``): no term is
+    ranked here.  Returns the kept indices.  An element whose leading
+    monomial another kept one at the same position divides is redundant;
+    of equal leading monomials the first by tie_key (the element's
+    ``FreeModuleElement.sort_key``, called only inside such groups) is
+    kept.  Survivors are sorted by position, then by descending plain-lex
+    leading exponent; so each level drops one more variable from the
+    leading monomials, which caps the resolution length by the variable
+    count.
     """
-    info = []
-    for s in elements:
-        pos, exp, c = s.leading(key)
-        if c != 1:
-            s = s.scale(_inverse(c))
-        info.append(((pos, exp), s))
-    info.sort(key=lambda it: (it[0][0], sum(it[0][1]), it[0][1], it[1].sort_key()))
+    groups: dict = {}
+    for k, lead in enumerate(leads):
+        groups.setdefault(lead, []).append(k)
     kept: list[tuple] = []
-    for (pos, exp), s in info:
+    for lead in sorted(groups, key=lambda lead: (lead[0], sum(lead[1]), lead[1])):
+        pos, exp = lead
         if not any(kp == pos and exp_divides(ke, exp) for (kp, ke), _ in kept):
-            kept.append(((pos, exp), s))
+            group = groups[lead]
+            kept.append((lead, group[0] if len(group) == 1 else min(group, key=tie_key)))
     kept.sort(key=lambda it: (it[0][0], tuple(-e for e in it[0][1])))
-    return [s for _, s in kept], [lead for lead, _ in kept]
+    return [k for _, k in kept]
 
 
 # ---- graded resolutions -----------------------------------------------------
@@ -380,10 +374,10 @@ def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
             raise ValueError(f"non-homogeneous generator {g}")
     if not pres.generators:
         return GradedResolution([1], [[0]], [], variables, weights)
-    order = SchreyerOrder.rank_one(pres.order)
-    rank_one = [FreeModuleElement((g,), (0,)) for g in pres.generators]
-    kept, leads = _prune_and_sort(rank_one, order.key)
-    gb = GroebnerBasis([e.coordinates[0] for e in kept], pres.order)
+    gens = [g.monic(pres.order) for g in pres.generators]
+    leads = [(0, g.leading(pres.order)[0]) for g in gens]
+    kept = _prune_and_sort(leads, lambda k: gens[k].sort_key())
+    gb = GroebnerBasis([gens[k] for k in kept], pres.order)
     # gb must span every generator; the level-1 transcripts check it is a basis
     if any(gb.normal_form(g) for g in pres.generators):
         raise ValueError("presentation generators are not a Groebner basis")
@@ -391,16 +385,22 @@ def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
     nvars = len(variables)
     shifts: list[list[int]] = [[0], [g.weighted_degree(weights) for g in gb]]
     diffs: list[list[list[Polynomial]]] = [[list(gb.generators)]]
-    syz = _ring_syzygies(gb, tuple(shifts[-1]))
+    order = SchreyerOrder.rank_one(pres.order)
+    elements = [{(0, exp): c for exp, c in g.terms.items()} for g in gb]
+    leads = [leads[k] for k in kept]
+    syz, syz_leads = _syzygies(elements, leads, order.key, True)
     while syz:
         if len(diffs) >= nvars:
             raise AssertionError("resolution exceeded the variable-count bound")
+        rank, prev = len(elements), shifts[-1]
         order = order.next(leads)
-        nxt, leads = _prune_and_sort(syz, order.key)
-        diffs.append([[nxt[c].coordinates[r] for c in range(len(nxt))]
-                      for r in range(len(shifts[-1]))])
-        shifts.append([s.degree(weights) for s in nxt])
-        syz = _level_syzygies(nxt, leads, order.key, tuple(shifts[-1]))
+        kept = _prune_and_sort(syz_leads, lambda k: _dense_key(syz[k], rank))
+        elements, leads = [syz[k] for k in kept], [syz_leads[k] for k in kept]
+        coords = [_coordinates(e, rank) for e in elements]
+        diffs.append([[Polynomial._raw(variables, col[r]) for col in coords]
+                      for r in range(rank)])
+        shifts.append([weighted_degree(exp, weights) + prev[pos] for pos, exp in leads])
+        syz, syz_leads = _syzygies(elements, leads, order.key, False)
     ranks = [len(s) for s in shifts]
     return GradedResolution(ranks, shifts, diffs, variables, weights)
 

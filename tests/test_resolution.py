@@ -23,6 +23,31 @@ def test_koszul_syzygy():
     assert [str(c) for c in syz[0].coordinates] == ["-x2", "x1"]
 
 
+SCHREYER_SYZYGIES = {
+    # count, sha256 of one line "repr shifts" per element
+    (3, 5, 7):
+        (3, "7985ff988c7981fd319114fc1aa3fea0cce40fa4080370b51a3552fe88d226bf"),
+    (5, 7, 9, 11):
+        (10, "8abc2daa4450b4c57f099fe08beb82bdfc5a71521efdb004cfbbc3cadb201c11"),
+    (12, 15, 20, 23):
+        (45, "f4e94e2fa8d8b9fc6ddcb9496b7947f167b8c400bfeb4fc1dbd48389504f47b4"),
+}
+
+
+@pytest.mark.parametrize("gens", sorted(SCHREYER_SYZYGIES))
+def test_schreyer_syzygies_pinned(gens):
+    import hashlib
+
+    pres = parametrization_kernel(gens)
+    syz = schreyer_syzygies(pres.groebner_basis(), pres.weights)
+    text = "".join(f"{s!r} {list(s.shifts)}\n" for s in syz)
+    assert (len(syz), hashlib.sha256(text.encode()).hexdigest()) == SCHREYER_SYZYGIES[gens]
+    if gens == (3, 5, 7):
+        assert text == ("(-x0^4 + x1*x2, -x0*x2 + x1^2, 0) [10, 12, 14]\n"
+                        "(-x0^3, -x2, x1) [10, 12, 14]\n"
+                        "(-x2, -x1, x0) [10, 12, 14]\n")
+
+
 def test_single_generator_has_no_syzygies():
     gb = buchberger([parse_polynomial("x0^3 - x1^2", ("x0", "x1"))],
                     MonomialOrder.lex(2))
@@ -330,50 +355,88 @@ def test_coefficients_are_exact_integers(oracle_resolutions):
 
 # ---- the annihilation check is not narrower ---------------------------------
 
-# each corrupts the last quotient, which the first pair checked does not
-# involve, so a check of the pair's own two coordinates would miss it
+# each corrupts the last quotient of a pair (i, j) with j below the last
+# index, so a check of the pair's own two coordinates would miss it
 
-def _corrupt_transcripts(monkeypatch):
-    from monocurves.groebner import GroebnerBasis
-    from monocurves.poly import DivisionRecord
+def _track_ring(monkeypatch):
+    """A dict whose entries say whether resolution._syzygies is running the
+    ring level (level 1) or a module level, and with which leads."""
+    from monocurves import resolution
 
-    true_transcript = GroebnerBasis.transcript
+    state = {"ring": None, "leads": None}
+    true_syzygies = resolution._syzygies
 
-    def corrupted(self, i, j):
-        rec = true_transcript(self, i, j)
-        quots = list(rec.quotients)
-        quots[-1] = quots[-1] + Polynomial.constant(quots[-1].variables, 1)
-        return DivisionRecord(tuple(quots), rec.remainder, rec.via_coprime_criterion)
+    def syzygies(elements, leads, key, ring):
+        state["ring"], state["leads"] = ring, leads
+        return true_syzygies(elements, leads, key, ring)
 
-    monkeypatch.setattr(GroebnerBasis, "transcript", corrupted)
+    monkeypatch.setattr(resolution, "_syzygies", syzygies)
+    return state
+
+
+def _plus_one(quotients, t):
+    # add 1 to the constant coefficient of the last of t quotients
+    mm = (t - 1, (0, 0, 0, 0))      # the four-variable ring
+    return {**quotients, mm: quotients.get(mm, 0) + 1}
+
+
+def _corrupt_level_one(monkeypatch, coprime):
+    # the closed form of a coprime pair and the module division of any other
+    # pair both hand their quotients to _syzygy_from_pair
+    from monocurves import resolution
+    from monocurves.poly import exp_coprime
+
+    state = _track_ring(monkeypatch)
+    true_pair = resolution._syzygy_from_pair
+
+    def corrupted(i, j, u, v, quotients, elements):
+        if (state["ring"] and j < len(elements) - 1
+                and exp_coprime(state["leads"][i][1], state["leads"][j][1]) == coprime):
+            quotients = _plus_one(quotients, len(elements))
+        return true_pair(i, j, u, v, quotients, elements)
+
+    monkeypatch.setattr(resolution, "_syzygy_from_pair", corrupted)
 
 
 def _corrupt_module_division(monkeypatch):
     from monocurves import resolution
 
+    state = _track_ring(monkeypatch)
     true_divide = resolution._module_divide
 
-    def corrupted(*args):
-        quots, rem = true_divide(*args)
-        one = (0, 0, 0, 0)     # the constant monomial of the four-variable ring
-        quots[-1][one] = quots[-1].get(one, 0) + 1
-        return quots, rem
+    def corrupted(p, divisors, elements, key):
+        quots, rem = true_divide(p, divisors, elements, key)
+        return (quots if state["ring"] else _plus_one(quots, len(elements))), rem
 
     monkeypatch.setattr(resolution, "_module_divide", corrupted)
 
 
-@pytest.mark.parametrize("corrupt", [_corrupt_transcripts, _corrupt_module_division],
-                         ids=["level-1-transcript", "level-2-module-division"])
-def test_corrupted_quotient_breaks_annihilation(corrupt, monkeypatch, capsys):
+@pytest.mark.parametrize("corruptions", [
+    # level 1: once on a coprime pair (closed form), once on a divided pair
+    [lambda m: _corrupt_level_one(m, True), lambda m: _corrupt_level_one(m, False)],
+    # level 2 and up: every module division
+    [_corrupt_module_division],
+], ids=["level-1-transcript", "level-2-module-division"])
+def test_corrupted_quotient_breaks_annihilation(corruptions, monkeypatch, capsys):
     from monocurves.cli import main
 
     pres = parametrization_kernel((5, 7, 9, 11))
-    corrupt(monkeypatch)
-    with pytest.raises(AssertionError, match="^syzygy does not annihilate the basis$"):
-        free_resolution(pres)
-    assert main(["resolution", "5", "7", "9", "11"]) == 3
-    assert capsys.readouterr().err == ("error: internal invariant broken: "
-                                       "syzygy does not annihilate the basis\n")
+    for corrupt in corruptions:
+        with monkeypatch.context() as m:
+            corrupt(m)
+            with pytest.raises(AssertionError, match="^syzygy does not annihilate the basis$"):
+                free_resolution(pres)
+            assert main(["resolution", "5", "7", "9", "11"]) == 3
+            assert capsys.readouterr().err == ("error: internal invariant broken: "
+                                               "syzygy does not annihilate the basis\n")
+
+
+def test_level_one_remainder_is_a_value_error():
+    # the minimal generators of (4, 6, 7) pass the normal-form check (each
+    # is one of them), but their divided pair (0, 1) leaves a remainder
+    with pytest.raises(ValueError, match=r"^not a Groebner basis: pair \(0, 1\) "
+                                         r"does not reduce to zero$"):
+        free_resolution(minimal_generators(parametrization_kernel((4, 6, 7))))
 
 
 # ---- minimalize against the rescanning oracle; the work it does ------------
@@ -409,35 +472,113 @@ def test_minimalize_matches_oracle_property(exponents):
 
 
 def test_resolution_ranks_and_cancels_without_repeats(monkeypatch):
-    # each element entering _prune_and_sort is ranked once and compared by
-    # sort_key once; minimalize resumes its scan after each cancellation
+    # pruning reads every lead off its S-pair, so it never ranks a term with
+    # SchreyerOrder.key; from level 1 on it builds the dense tie key once for
+    # each element of a surviving group of equal leads (26 on this curve) and
+    # for no other; minimalize resumes its scan after each cancellation
     # (248 965 _constant_value calls on this curve when it restarted)
-    from monocurves import resolution
+    from collections import Counter
+
+    from monocurves import SchreyerOrder, resolution
 
     pres = parametrization_kernel(tuple(range(9, 16)))
-    calls = {"entering": 0, "sort_key": 0, "leading": 0, "constant": 0}
+    calls = {"levels": 0, "key": 0, "dense": 0, "tied": 0, "constant": 0}
+    pruning = []
+    prune, key, dense = resolution._prune_and_sort, SchreyerOrder.key, resolution._dense_key
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_prune(leads, tie_key):
+        pruning.append(True)
+        kept = prune(leads, tie_key)
+        pruning.pop()
+        if calls["levels"]:
+            sizes = Counter(leads)
+            calls["tied"] += sum(sizes[leads[k]] for k in kept if sizes[leads[k]] > 1)
+        calls["levels"] += 1
+        return kept
 
-    prune = resolution._prune_and_sort
+    def counted_key(self, mm):
+        calls["key"] += bool(pruning)
+        return key(self, mm)
 
-    def entering(elements, key):
-        calls["entering"] += len(elements)
-        return prune(elements, key)
+    def counted_dense(element, rank):
+        calls["dense"] += 1
+        return dense(element, rank)
 
-    monkeypatch.setattr(resolution, "_prune_and_sort", entering)
-    for name in ("sort_key", "leading"):
-        monkeypatch.setattr(resolution.FreeModuleElement, name,
-                            counted(name, getattr(resolution.FreeModuleElement, name)))
+    monkeypatch.setattr(resolution, "_prune_and_sort", counted_prune)
+    monkeypatch.setattr(SchreyerOrder, "key", counted_key)
+    monkeypatch.setattr(resolution, "_dense_key", counted_dense)
     raw = free_resolution(pres)
-    assert calls["entering"] > 0
-    assert calls["sort_key"] == calls["leading"] == calls["entering"]
+    assert calls["levels"] == len(raw.ranks) - 1
+    assert calls["key"] == 0
+    assert calls["dense"] == calls["tied"] == 26
 
-    monkeypatch.setattr(resolution, "_constant_value",
-                        counted("constant", resolution._constant_value))
+    def counted_constant(poly):
+        calls["constant"] += 1
+        return constant(poly)
+
+    constant = resolution._constant_value
+    monkeypatch.setattr(resolution, "_constant_value", counted_constant)
     minimalize(raw)
     assert 0 < calls["constant"] < 20_000
+
+
+# ---- the sparse prune against the dense oracle ------------------------------
+
+def _element(term_map, rank, variables, sign):
+    from monocurves import FreeModuleElement
+    from monocurves.resolution import _coordinates
+
+    return FreeModuleElement([Polynomial(variables, {e: sign * c for e, c in h.items()})
+                              for h in _coordinates(term_map, rank)], (0,) * rank)
+
+
+def assert_prune_matches_oracle(pres, monkeypatch):
+    """At every level, the sparse prune keeps the elements the dense oracle
+    keeps, in the same order and with the same leads, and every lead read
+    off a pair is the largest monomial of its Schreyer tuple, coefficient
+    -1.  Returns the number of leads read off pairs."""
+    from prune_oracle import prune_and_sort
+
+    from monocurves import FreeModuleElement, SchreyerOrder, resolution
+
+    found, pruned = [], []
+    syzygies, prune = resolution._syzygies, resolution._prune_and_sort
+
+    def recording_syzygies(*args):
+        found.append(syzygies(*args))
+        return found[-1]
+
+    def recording_prune(leads, tie_key):
+        pruned.append((leads, prune(leads, tie_key)))
+        return pruned[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(resolution, "_syzygies", recording_syzygies)
+        m.setattr(resolution, "_prune_and_sort", recording_prune)
+        free_resolution(pres)
+    assert len(found) == len(pruned) and found[-1] == ([], [])
+
+    order = SchreyerOrder.rank_one(pres.order)
+    want, want_leads = prune_and_sort([FreeModuleElement((g,), (0,)) for g in pres.generators],
+                                      order.key)
+    leads, kept = pruned[0]
+    assert [pres.generators[k].monic(pres.order) for k in kept] == [e.coordinates[0] for e in want]
+    assert [leads[k] for k in kept] == want_leads
+    read = 0
+    for (syz, syz_leads), (leads, kept) in zip(found, pruned[1:]):
+        assert leads == syz_leads
+        order, rank = order.next(want_leads), len(want_leads)
+        tuples = [_element(s, rank, pres.variables, -1) for s in syz]
+        assert [t.leading(order.key) for t in tuples] == [lead + (-1,) for lead in syz_leads]
+        read += len(syz)
+        want, want_leads = prune_and_sort(tuples, order.key)
+        assert [_element(syz[k], rank, pres.variables, 1) for k in kept] == want
+        assert [syz_leads[k] for k in kept] == want_leads
+    return read
+
+
+def test_prune_matches_dense_oracle(monkeypatch):
+    golden = [(6, 7, 8, 9, 10, 11), tuple(range(9, 16))]
+    read = sum(assert_prune_matches_oracle(parametrization_kernel(gens), monkeypatch)
+               for gens in oracle_curves() + golden)
+    assert read == 1068     # 517 of them on the oracle corpus
