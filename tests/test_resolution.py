@@ -48,6 +48,27 @@ def test_schreyer_syzygies_pinned(gens):
                         "(-x2, -x1, x0) [10, 12, 14]\n")
 
 
+def test_schreyer_syzygies_match_groebner_transcripts(oracle_resolutions):
+    # the resolution's sparse ring-level division gives the Schreyer tuples
+    # of GroebnerBasis.transcript, pair by pair
+    from monocurves.poly import exp_lcm, exp_sub
+
+    for gens, pres, _, _ in oracle_resolutions:
+        gb = pres.groebner_basis()
+        leads = gb.leading_exponents
+        want = []
+        for i in range(len(gb)):
+            for j in range(i + 1, len(gb)):
+                coords = list(gb.transcript(i, j).quotients)
+                lcm = exp_lcm(leads[i], leads[j])
+                for k, sign in ((i, -1), (j, 1)):
+                    coords[k] = coords[k] + Polynomial.monomial(
+                        pres.variables, exp_sub(lcm, leads[k]), sign)
+                want.append(coords)
+        got = [list(s.coordinates) for s in schreyer_syzygies(gb, pres.weights)]
+        assert got == want, gens
+
+
 def test_single_generator_has_no_syzygies():
     gb = buchberger([parse_polynomial("x0^3 - x1^2", ("x0", "x1"))],
                     MonomialOrder.lex(2))
