@@ -7,12 +7,73 @@ from operator import le
 from typing import Iterable, Sequence
 
 from .orders import MonomialOrder
-from .poly import (_VARIABLE, DivisionRecord, Polynomial, divide, exp_coprime,
-                   exp_divides, exp_lcm, s_polynomial, weighted_degree)
+from .poly import (_VARIABLE, DivisionRecord, Polynomial, divide, exp_add, exp_coprime,
+                   exp_divides, exp_lcm, exp_sub, s_polynomial, weighted_degree)
 
 
 class ComputationLimitExceeded(RuntimeError):
     """Raised when a configured size guard stops a computation."""
+
+
+# ---- S-pair division on term maps {(pos, exp): c} ---------------------------
+
+def divisor_index(leads) -> dict:
+    """pos -> the (k, exp) of the elements k with leading monomial (pos,
+    exp), by index: the divisors argument of ``module_divide``."""
+    divisors: dict = {}
+    for k, (pos, exp) in enumerate(leads):
+        divisors.setdefault(pos, []).append((k, exp))
+    return divisors
+
+
+def spair_vector(elements, i: int, j: int, u, v) -> dict:
+    """The term map of u e_i - v e_j for term-map elements e."""
+    spair = {(pos, exp_add(u, exp)): c for (pos, exp), c in elements[i].items()}
+    for (pos, exp), c in elements[j].items():
+        mm = (pos, exp_add(v, exp))
+        s = spair.get(mm, 0) - c
+        if s:
+            spair[mm] = s
+        else:
+            del spair[mm]
+    return spair
+
+
+def module_divide(p: dict, divisors, elements, key):
+    """Divide the vector with term map p (consumed) by monic term-map
+    elements; returns (quotients as one term map {(k, exp): c}, remainder).
+
+    divisors[pos] lists, by index, the (k, exp) of the elements k with
+    leading monomial (pos, exp) under the module order key: ring division's
+    first match, restricted to the leading position (for elements of R^1,
+    ``divide``'s quotients).  Each module monomial is ranked by key once.
+    """
+    quots: dict = {}
+    rem: dict = {}
+    ranks = {mm: key(mm) for mm in p}
+    while p:
+        best = max(p, key=ranks.__getitem__)
+        c = p[best]
+        pos, exp = best
+        for k, dexp in divisors.get(pos, ()):
+            if exp_divides(dexp, exp):
+                # best falls at every step, so each quotient term is new
+                qexp = exp_sub(exp, dexp)
+                quots[k, qexp] = c
+                for (tpos, texp), tc in elements[k].items():
+                    mm = (tpos, exp_add(qexp, texp))
+                    s = p.get(mm, 0) - c * tc
+                    if s:
+                        p[mm] = s
+                        if mm not in ranks:
+                            ranks[mm] = key(mm)
+                    elif mm in p:
+                        del p[mm]
+                break
+        else:
+            rem[best] = c
+            del p[best]
+    return quots, rem
 
 
 class GroebnerBasis:
@@ -20,9 +81,11 @@ class GroebnerBasis:
 
     Transcripts are built on demand: for a pair with coprime leading
     monomials the combination -(g - Lm g)*f + (f - Lm f)*g is taken as the
-    reduction to zero, every other pair is divided against the basis.
-    ``transcript`` raises ValueError for a pair that leaves a remainder;
-    ``is_groebner_basis`` reports such records instead.
+    reduction to zero, every other pair is divided against the basis by
+    ``module_divide`` on term maps, the division the Schreyer resolution
+    runs on every level.  ``transcript`` (and its term-map form
+    ``transcript_terms``) raises ValueError for a pair that leaves a
+    remainder; ``is_groebner_basis`` reports such records instead.
     """
 
     def __init__(self, generators: Iterable[Polynomial], order: MonomialOrder):
@@ -31,6 +94,7 @@ class GroebnerBasis:
             raise ValueError("zero polynomial in basis")
         self.generators = tuple(g.monic(order) for g in gens)
         self.order = order
+        self._term_maps = None
 
     def __len__(self):
         return len(self.generators)
@@ -53,27 +117,54 @@ class GroebnerBasis:
     def contains(self, f: Polynomial) -> bool:
         return not self.normal_form(f)
 
-    def _spair_record(self, i: int, j: int) -> DivisionRecord:
-        gi, gj = self.generators[i], self.generators[j]
-        lead_i, lead_j = gi.leading(self.order)[0], gj.leading(self.order)[0]
-        if not exp_coprime(lead_i, lead_j):
-            return divide(s_polynomial(gi, gj, self.order), self.generators, self.order)
-        lt_i = Polynomial._raw(gi.variables, {lead_i: 1})
-        lt_j = Polynomial._raw(gj.variables, {lead_j: 1})
-        quots = [Polynomial.zero(gi.variables) for _ in self.generators]
-        quots[i] = -(gj - lt_j)
-        quots[j] = gi - lt_i
-        return DivisionRecord(tuple(quots), Polynomial.zero(gi.variables),
-                              via_coprime_criterion=True)
+    def _sparse(self):
+        """(elements, leads, divisors, key) of the S-pair division: the
+        generators as term maps {(0, exp): c}, built on first use."""
+        if self._term_maps is None:
+            elements = [{(0, exp): c for exp, c in g.terms.items()} for g in self.generators]
+            leads = [(0, exp) for exp in self.leading_exponents]
+            ring_key = self.order.key
+            self._term_maps = (elements, leads, divisor_index(leads),
+                               lambda mm: ring_key(mm[1]))
+        return self._term_maps
 
-    def transcript(self, i: int, j: int) -> DivisionRecord:
+    def _spair_division(self, i: int, j: int):
+        """(quotients {(k, exp): c}, remainder {(0, exp): c}) of S-pair (i, j)."""
+        elements, leads, divisors, key = self._sparse()
+        lead_i, lead_j = leads[i][1], leads[j][1]
+        if exp_coprime(lead_i, lead_j):
+            quots = {(i, exp): -c for (_, exp), c in elements[j].items() if exp != lead_j}
+            quots.update(((j, exp), c) for (_, exp), c in elements[i].items() if exp != lead_i)
+            return quots, {}
+        lcm = exp_lcm(lead_i, lead_j)
+        spair = spair_vector(elements, i, j, exp_sub(lcm, lead_i), exp_sub(lcm, lead_j))
+        return module_divide(spair, divisors, elements, key)
+
+    def _record(self, i: int, j: int, quots: dict, rem: dict) -> DivisionRecord:
+        variables = self.generators[0].variables
+        coords: list[dict] = [{} for _ in self.generators]
+        for (k, exp), c in quots.items():
+            coords[k][exp] = c
+        leads = self._sparse()[1]
+        return DivisionRecord(tuple(Polynomial._raw(variables, q) for q in coords),
+                              Polynomial._raw(variables, {exp: c for (_, exp), c in rem.items()}),
+                              via_coprime_criterion=exp_coprime(leads[i][1], leads[j][1]))
+
+    def _spair_record(self, i: int, j: int) -> DivisionRecord:
+        return self._record(i, j, *self._spair_division(i, j))
+
+    def transcript_terms(self, i: int, j: int) -> dict:
+        """The quotients of ``transcript(i, j)`` as one term map {(k, exp): c}."""
         if not 0 <= i < j < len(self.generators):
             raise ValueError("transcript wants a pair i < j of basis indices")
-        rec = self._spair_record(i, j)
-        if rec.remainder:
+        quots, rem = self._spair_division(i, j)
+        if rem:
             raise ValueError(f"not a Groebner basis: pair ({i}, {j}) "
                              "does not reduce to zero")
-        return rec
+        return quots
+
+    def transcript(self, i: int, j: int) -> DivisionRecord:
+        return self._record(i, j, self.transcript_terms(i, j), {})
 
     def spair_transcripts(self) -> dict[tuple[int, int], DivisionRecord]:
         n = len(self.generators)

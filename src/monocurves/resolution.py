@@ -5,12 +5,14 @@ the first differential; the reduction transcript of each S-pair yields a
 generating set of the syzygy module which is again a Groebner basis with
 respect to the order induced on positions by the parent leading terms, so
 the construction iterates without ever running a module Buchberger
-completion.  Every level, the ring one included, runs the same sparse
-S-pair division on term maps {(pos, exp): c}, and the leading monomial of
-each syzygy is read off its pair (Schreyer's theorem), so no term is ranked
-to prune a level.  Minimalization then splits off the trivial summands one
-unit entry at a time, keeping the Schur complement of the differential that
-holds it; the surviving ranks are the Betti numbers.
+completion.  Every level runs the same sparse S-pair division on term maps
+{(pos, exp): c}, ``groebner.module_divide``: the ring level reads it from
+``GroebnerBasis.transcript_terms``, the levels above call it themselves.
+The leading monomial of each syzygy is read off its pair (Schreyer's
+theorem), so no term is ranked to prune a level.  Minimalization then
+splits off the trivial summands one unit entry at a time, keeping the Schur
+complement of the differential that holds it; the surviving ranks are the
+Betti numbers.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groebner import GroebnerBasis
+from .groebner import GroebnerBasis, divisor_index, module_divide, spair_vector
 from .orders import MonomialOrder
-from .poly import (Polynomial, _inverse, exp_add, exp_coprime, exp_divides, exp_lcm,
-                   exp_sub, weighted_degree)
+from .poly import Polynomial, _inverse, exp_add, exp_divides, exp_lcm, exp_sub, weighted_degree
 from .toric import GradedIdealPresentation, MonomialCurve, defining_ideal, monomial_curve
 
 
@@ -70,7 +71,8 @@ class SchreyerOrder:
 class FreeModuleElement:
     """Vector of polynomials in a graded free module.
 
-    ``shifts`` holds the weighted-degree label of each ambient basis vector.
+    ``shifts`` carries the weighted-degree label of each basis vector of the
+    ambient module, so homogeneity of the element is checkable locally.
     """
 
     __slots__ = ("coordinates", "shifts")
@@ -96,6 +98,10 @@ class FreeModuleElement:
     def __repr__(self):
         return "(" + ", ".join(str(p) for p in self.coordinates) + ")"
 
+    def scale(self, c) -> "FreeModuleElement":
+        return FreeModuleElement(tuple(p.scale(c) for p in self.coordinates),
+                                 self.shifts)
+
     def leading(self, key):
         """(position, exponents, coefficient) of the largest module monomial
         under the module order ``key``."""
@@ -105,6 +111,16 @@ class FreeModuleElement:
             raise ValueError("zero element has no leading term")
         pos, exp = best
         return pos, exp, self.coordinates[pos].terms[exp]
+
+    def degree(self, weights) -> int:
+        """Homogeneous degree; raises when coordinates disagree."""
+        degs = set()
+        for shift, poly in zip(self.shifts, self.coordinates):
+            for exp in poly.terms:
+                degs.add(weighted_degree(exp, weights) + shift)
+        if len(degs) != 1:
+            raise ValueError(f"element is not homogeneous (degrees {sorted(degs)})")
+        return degs.pop()
 
     def sort_key(self):
         return tuple(p.sort_key() for p in self.coordinates)
@@ -122,42 +138,6 @@ def _dense_key(element: dict, rank: int):
     """``FreeModuleElement.sort_key`` of a term-map element of R^rank."""
     return tuple(tuple(sorted((exp, (c.numerator, c.denominator)) for exp, c in h.items()))
                  for h in _coordinates(element, rank))
-
-
-def _module_divide(p: dict, divisors, elements, key):
-    """Divide the vector with term map p (consumed) by monic term-map
-    elements; returns (quotients as one term map {(k, exp): c}, remainder).
-
-    divisors[pos] lists, by index, the (k, exp) of the elements k with
-    leading monomial (pos, exp): ring division's first match, restricted to
-    the leading position.  Each module monomial is ranked by key once.
-    """
-    quots: dict = {}
-    rem: dict = {}
-    ranks = {mm: key(mm) for mm in p}
-    while p:
-        best = max(p, key=ranks.__getitem__)
-        c = p[best]
-        pos, exp = best
-        for k, dexp in divisors.get(pos, ()):
-            if exp_divides(dexp, exp):
-                # best falls at every step, so each quotient term is new
-                qexp = exp_sub(exp, dexp)
-                quots[k, qexp] = c
-                for (tpos, texp), tc in elements[k].items():
-                    mm = (tpos, exp_add(qexp, texp))
-                    s = p.get(mm, 0) - c * tc
-                    if s:
-                        p[mm] = s
-                        if mm not in ranks:
-                            ranks[mm] = key(mm)
-                    elif mm in p:
-                        del p[mm]
-                break
-        else:
-            rem[best] = c
-            del p[best]
-    return quots, rem
 
 
 def _syzygy_from_pair(i, j, u, v, quotients, elements) -> dict:
@@ -182,50 +162,50 @@ def _syzygy_from_pair(i, j, u, v, quotients, elements) -> dict:
     return syz
 
 
-def _syzygies(elements, leads, key, ring: bool):
+def _syzygies(elements, leads, quotients):
     """The negated Schreyer tuples of one level in pair order, monic, and
     their leading monomials (i, lcm - lead_i), read off the pairs (i, j).
 
     elements are monic term maps with leading monomials leads[k] = (pos,
-    exp) under key.  At the ring level (elements of R^1) a coprime pair
-    takes the closed form -(g_j - Lt g_j) g_i + (g_i - Lt g_i) g_j, and a
-    remainder means the input is not a Groebner basis (ValueError).
+    exp); quotients(i, j, u, v) are those of the S-pair u e_i - v e_j on
+    division by the level, one term map {(k, exp): c}.
     """
-    t = len(elements)
-    divisors: dict = {}
-    for k, (pos, exp) in enumerate(leads):
-        divisors.setdefault(pos, []).append((k, exp))
     out, out_leads = [], []
-    for i in range(t):
-        ipos, iexp = leads[i]
-        for j in range(i + 1, t):
+    for i, (ipos, iexp) in enumerate(leads):
+        for j in range(i + 1, len(leads)):
             jpos, jexp = leads[j]
             if ipos != jpos:
                 continue
             lcm = exp_lcm(iexp, jexp)
             u, v = exp_sub(lcm, iexp), exp_sub(lcm, jexp)
-            if ring and exp_coprime(iexp, jexp):
-                quots = {(i, exp): -c for (_, exp), c in elements[j].items() if exp != jexp}
-                quots.update(((j, exp), c) for (_, exp), c in elements[i].items() if exp != iexp)
-            else:
-                spair = {(pos, exp_add(u, exp)): c for (pos, exp), c in elements[i].items()}
-                for (pos, exp), c in elements[j].items():
-                    mm = (pos, exp_add(v, exp))
-                    s = spair.get(mm, 0) - c
-                    if s:
-                        spair[mm] = s
-                    else:
-                        del spair[mm]
-                quots, rem = _module_divide(spair, divisors, elements, key)
-                if rem and ring:
-                    raise ValueError(f"not a Groebner basis: pair ({i}, {j}) "
-                                     "does not reduce to zero")
-                if rem:
-                    raise AssertionError("transcript integrity failure: "
-                                         f"pair ({i}, {j}) left a remainder")
-            out.append(_syzygy_from_pair(i, j, u, v, quots, elements))
+            out.append(_syzygy_from_pair(i, j, u, v, quotients(i, j, u, v), elements))
             out_leads.append((i, u))
     return out, out_leads
+
+
+def _ring_syzygies(gb: GroebnerBasis):
+    """The ring level: the basis as term maps {(0, exp): c}, its leads, and
+    ``_syzygies`` on the quotients of ``GroebnerBasis.transcript_terms``
+    (ValueError when a pair leaves a remainder)."""
+    elements, leads, _, _ = gb._sparse()
+    return (elements, leads,
+            *_syzygies(elements, leads, lambda i, j, u, v: gb.transcript_terms(i, j)))
+
+
+def _module_syzygies(elements, leads, key):
+    """``_syzygies`` of a module level with its order key: a pair left with
+    a remainder would break Schreyer's theorem (AssertionError)."""
+    divisors = divisor_index(leads)
+
+    def quotients(i, j, u, v):
+        quots, rem = module_divide(spair_vector(elements, i, j, u, v), divisors,
+                                   elements, key)
+        if rem:
+            raise AssertionError("transcript integrity failure: "
+                                 f"pair ({i}, {j}) left a remainder")
+        return quots
+
+    return _syzygies(elements, leads, quotients)
 
 
 def schreyer_syzygies(gb: GroebnerBasis, weights=None) -> list[FreeModuleElement]:
@@ -235,12 +215,10 @@ def schreyer_syzygies(gb: GroebnerBasis, weights=None) -> list[FreeModuleElement
     if weights is None:
         weights = (1,) * len(gb.generators[0].variables)
     shifts = tuple(g.weighted_degree(weights) for g in gb.generators)
-    elements = [{(0, exp): c for exp, c in g.terms.items()} for g in gb.generators]
-    leads = [(0, exp) for exp in gb.leading_exponents]
-    syz, _ = _syzygies(elements, leads, SchreyerOrder.rank_one(gb.order).key, True)
+    _, _, syz, _ = _ring_syzygies(gb)
     return [FreeModuleElement([Polynomial._raw(gb.generators[0].variables,
                                                {exp: -c for exp, c in h.items()})
-                               for h in _coordinates(s, len(elements))], shifts)
+                               for h in _coordinates(s, len(gb))], shifts)
             for s in syz]
 
 
@@ -386,9 +364,7 @@ def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
     shifts: list[list[int]] = [[0], [g.weighted_degree(weights) for g in gb]]
     diffs: list[list[list[Polynomial]]] = [[list(gb.generators)]]
     order = SchreyerOrder.rank_one(pres.order)
-    elements = [{(0, exp): c for exp, c in g.terms.items()} for g in gb]
-    leads = [leads[k] for k in kept]
-    syz, syz_leads = _syzygies(elements, leads, order.key, True)
+    elements, leads, syz, syz_leads = _ring_syzygies(gb)
     while syz:
         if len(diffs) >= nvars:
             raise AssertionError("resolution exceeded the variable-count bound")
@@ -400,7 +376,7 @@ def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
         diffs.append([[Polynomial._raw(variables, col[r]) for col in coords]
                       for r in range(rank)])
         shifts.append([weighted_degree(exp, weights) + prev[pos] for pos, exp in leads])
-        syz, syz_leads = _syzygies(elements, leads, order.key, False)
+        syz, syz_leads = _module_syzygies(elements, leads, order.key)
     ranks = [len(s) for s in shifts]
     return GradedResolution(ranks, shifts, diffs, variables, weights)
 

@@ -126,6 +126,27 @@ def test_criterion_records_are_the_transcripts():
             assert non_basis.transcript(i, j) == rec
 
 
+@pytest.mark.parametrize("gens, remainders", [((3, 5, 7), 0), ((4, 6, 7), 1),
+                                               ((12, 15, 20, 23), 5)])
+def test_records_divide_like_ring_division(gens, remainders):
+    # the term-map division behind the records gives divide()'s quotients
+    # and remainder on the S-polynomial, on the grevlex basis and on the
+    # minimal generators, which are no basis for (4, 6, 7) and (12, 15, 20, 23)
+    from monocurves import minimal_generators
+
+    pres = parametrization_kernel(gens)
+    left = 0
+    for polys in (pres.groebner_basis().generators, minimal_generators(pres).generators):
+        basis = GroebnerBasis(polys, pres.order)
+        for (i, j), rec in is_groebner_basis(polys, pres.order)[1].items():
+            if not rec.via_coprime_criterion:
+                want = divide(s_polynomial(basis[i], basis[j], pres.order),
+                              basis.generators, pres.order)
+                assert (rec.quotients, rec.remainder) == (want.quotients, want.remainder)
+                left += bool(rec.remainder)
+    assert left == remainders
+
+
 def chain_skipped(gens, order, **kwargs):
     """buchberger's basis and the pairs its chain criterion skipped: every
     pair with non-coprime leading monomials is queued, so these are the

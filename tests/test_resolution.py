@@ -48,27 +48,6 @@ def test_schreyer_syzygies_pinned(gens):
                         "(-x2, -x1, x0) [10, 12, 14]\n")
 
 
-def test_schreyer_syzygies_match_groebner_transcripts(oracle_resolutions):
-    # the resolution's sparse ring-level division gives the Schreyer tuples
-    # of GroebnerBasis.transcript, pair by pair
-    from monocurves.poly import exp_lcm, exp_sub
-
-    for gens, pres, _, _ in oracle_resolutions:
-        gb = pres.groebner_basis()
-        leads = gb.leading_exponents
-        want = []
-        for i in range(len(gb)):
-            for j in range(i + 1, len(gb)):
-                coords = list(gb.transcript(i, j).quotients)
-                lcm = exp_lcm(leads[i], leads[j])
-                for k, sign in ((i, -1), (j, 1)):
-                    coords[k] = coords[k] + Polynomial.monomial(
-                        pres.variables, exp_sub(lcm, leads[k]), sign)
-                want.append(coords)
-        got = [list(s.coordinates) for s in schreyer_syzygies(gb, pres.weights)]
-        assert got == want, gens
-
-
 def test_single_generator_has_no_syzygies():
     gb = buchberger([parse_polynomial("x0^3 - x1^2", ("x0", "x1"))],
                     MonomialOrder.lex(2))
@@ -379,22 +358,6 @@ def test_coefficients_are_exact_integers(oracle_resolutions):
 # each corrupts the last quotient of a pair (i, j) with j below the last
 # index, so a check of the pair's own two coordinates would miss it
 
-def _track_ring(monkeypatch):
-    """A dict whose entries say whether resolution._syzygies is running the
-    ring level (level 1) or a module level, and with which leads."""
-    from monocurves import resolution
-
-    state = {"ring": None, "leads": None}
-    true_syzygies = resolution._syzygies
-
-    def syzygies(elements, leads, key, ring):
-        state["ring"], state["leads"] = ring, leads
-        return true_syzygies(elements, leads, key, ring)
-
-    monkeypatch.setattr(resolution, "_syzygies", syzygies)
-    return state
-
-
 def _plus_one(quotients, t):
     # add 1 to the constant coefficient of the last of t quotients
     mm = (t - 1, (0, 0, 0, 0))      # the four-variable ring
@@ -402,34 +365,34 @@ def _plus_one(quotients, t):
 
 
 def _corrupt_level_one(monkeypatch, coprime):
-    # the closed form of a coprime pair and the module division of any other
-    # pair both hand their quotients to _syzygy_from_pair
-    from monocurves import resolution
+    # level 1 reads the quotients of each pair, closed form for a coprime
+    # one and division otherwise, off GroebnerBasis.transcript_terms
+    from monocurves import GroebnerBasis
     from monocurves.poly import exp_coprime
 
-    state = _track_ring(monkeypatch)
-    true_pair = resolution._syzygy_from_pair
+    true_terms = GroebnerBasis.transcript_terms
 
-    def corrupted(i, j, u, v, quotients, elements):
-        if (state["ring"] and j < len(elements) - 1
-                and exp_coprime(state["leads"][i][1], state["leads"][j][1]) == coprime):
-            quotients = _plus_one(quotients, len(elements))
-        return true_pair(i, j, u, v, quotients, elements)
+    def corrupted(self, i, j):
+        quotients = true_terms(self, i, j)
+        leads = self.leading_exponents
+        if j < len(self) - 1 and exp_coprime(leads[i], leads[j]) == coprime:
+            quotients = _plus_one(quotients, len(self))
+        return quotients
 
-    monkeypatch.setattr(resolution, "_syzygy_from_pair", corrupted)
+    monkeypatch.setattr(GroebnerBasis, "transcript_terms", corrupted)
 
 
 def _corrupt_module_division(monkeypatch):
+    # the resolution's own module_divide serves only the levels from 2 on
     from monocurves import resolution
 
-    state = _track_ring(monkeypatch)
-    true_divide = resolution._module_divide
+    true_divide = resolution.module_divide
 
     def corrupted(p, divisors, elements, key):
         quots, rem = true_divide(p, divisors, elements, key)
-        return (quots if state["ring"] else _plus_one(quots, len(elements))), rem
+        return _plus_one(quots, len(elements)), rem
 
-    monkeypatch.setattr(resolution, "_module_divide", corrupted)
+    monkeypatch.setattr(resolution, "module_divide", corrupted)
 
 
 @pytest.mark.parametrize("corruptions", [
