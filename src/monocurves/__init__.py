@@ -11,15 +11,14 @@ from .families import (BresinskyInstance, BresinskyReport, ConcatenationInstance
                        bresinsky_generators, bresinsky_order, bresinsky_sequence,
                        concatenation_semigroup, family_sweep, sweep_to_jsonl,
                        sweep_to_text, verify_bresinsky)
-from .groebner import (ComputationLimitExceeded, GroebnerBasis, buchberger,
-                       homogenize_basis, is_groebner_basis, normal_form,
-                       reduce_basis)
+from .groebner import (ComputationLimitExceeded, GroebnerBasis, SchreyerOrder,
+                       buchberger, homogenize_basis, is_groebner_basis,
+                       normal_form, reduce_basis)
 from .orders import MonomialOrder
 from .poly import (DivisionRecord, Polynomial, divide, parse_polynomial,
                    poly_to_str, s_polynomial)
-from .resolution import (FreeModuleElement, GradedResolution, SchreyerOrder,
-                         betti_numbers, free_resolution, minimalize,
-                         schreyer_syzygies)
+from .resolution import (FreeModuleElement, GradedResolution, betti_numbers,
+                         free_resolution, minimalize, schreyer_syzygies)
 from .semigroup import (AperySet, NumericalSemigroup, SemigroupInvariants,
                         new_semigroup)
 from .toric import (GradedIdealPresentation, MonomialCurve, defining_ideal,

@@ -3,89 +3,181 @@
 from __future__ import annotations
 
 import heapq
-from operator import le
+from operator import le, mul
 from typing import Iterable, Sequence
 
 from .orders import MonomialOrder
-from .poly import (_VARIABLE, DivisionRecord, Polynomial, divide, exp_add, exp_coprime,
-                   exp_divides, exp_lcm, exp_sub, s_polynomial, weighted_degree)
+from .poly import (_VARIABLE, EXPONENT_LIMIT, DivisionRecord, MonomialCodec, Polynomial,
+                   _overflow, divide, exp_add, exp_coprime, exp_divides, exp_lcm, exp_sub,
+                   s_polynomial, weighted_degree)
 
 
 class ComputationLimitExceeded(RuntimeError):
     """Raised when a configured size guard stops a computation."""
 
 
-# ---- S-pair division on term maps {(pos, exp): c} ---------------------------
+# ---- module orders and S-pair division on packed term maps ------------------
 
-def divisor_index(leads) -> dict:
-    """pos -> the (k, exp) of the elements k with leading monomial (pos,
-    exp), by index: the divisors argument of ``module_divide``."""
-    divisors: dict = {}
-    for k, (pos, exp) in enumerate(leads):
-        divisors.setdefault(pos, []).append((k, exp))
-    return divisors
+class SchreyerOrder:
+    """Module order on one level of a Schreyer resolution, as one integer key.
 
+    Level 0 is R^1 under the ring order (``rank_one``).  ``next(leads)``
+    gives the order on the syzygies of a level whose elements have the
+    leading monomials leads[k] = (pos, exp): (k, u) ranks as (pos, u * exp)
+    does one level down, ties going to the smaller k.  With this order the
+    Schreyer generators of the syzygy module are already a Groebner basis.
 
-def spair_vector(elements, i: int, j: int, u, v) -> dict:
-    """The term map of u e_i - v e_j for term-map elements e."""
-    spair = {(pos, exp_add(u, exp)): c for (pos, exp), c in elements[i].items()}
-    for (pos, exp), c in elements[j].items():
-        mm = (pos, exp_add(v, exp))
-        s = spair.get(mm, 0) - c
-        if s:
-            spair[mm] = s
-        else:
-            del spair[mm]
-    return spair
+    Unwound to level 0, position k carries the offset off[k], the product
+    of the leading monomials along its chain of positions p0 = 0, p1, ...,
+    k, and tierank[k], the rank of the chain (-p0, -p1, ..., -k) among the
+    level's chains.  With R positions and K the ring order's
+    ``integer_key``, the key is linear in u:
 
+        key((k, u)) = R * K(u + off[k]) + tierank[k],
 
-def module_divide(p: dict, divisors, elements, key):
-    """Divide the vector with term map p (consumed) by monic term-map
-    elements; returns (quotients as one term map {(k, exp): c}, remainder).
-
-    divisors[pos] lists, by index, the (k, exp) of the elements k with
-    leading monomial (pos, exp) under the module order key: ring division's
-    first match, restricted to the leading position (for elements of R^1,
-    ``divide``'s quotients).  Each module monomial is ranked by key once.
+    so the module monomial with the larger key is the larger one, and
+    multiplying by a ring monomial v adds ``step(v)`` = R * K(v).  K is
+    exact on every u + off[k] with u below twice EXPONENT_LIMIT: any sum of
+    two packed exponent vectors, before its guard bits are checked.
     """
-    quots: dict = {}
-    rem: dict = {}
-    ranks = {mm: key(mm) for mm in p}
-    while p:
-        best = max(p, key=ranks.__getitem__)
-        c = p[best]
-        pos, exp = best
-        for k, dexp in divisors.get(pos, ()):
-            if exp_divides(dexp, exp):
-                # best falls at every step, so each quotient term is new
-                qexp = exp_sub(exp, dexp)
-                quots[k, qexp] = c
-                for (tpos, texp), tc in elements[k].items():
-                    mm = (tpos, exp_add(qexp, texp))
-                    s = p.get(mm, 0) - c * tc
-                    if s:
-                        p[mm] = s
-                        if mm not in ranks:
-                            ranks[mm] = key(mm)
-                    elif mm in p:
-                        del p[mm]
-                break
-        else:
-            rem[best] = c
-            del p[best]
-    return quots, rem
+
+    __slots__ = ("ring_order", "offsets", "tierank", "rank", "steps", "bases")
+
+    def __init__(self, ring_order: MonomialOrder, offsets, tierank):
+        self.ring_order = ring_order
+        self.offsets = tuple(offsets)
+        self.tierank = tuple(tierank)
+        self.rank = len(self.offsets)
+        # R * K, one coefficient per variable
+        self.steps = tuple(self.rank * c for c in ring_order.integer_key(
+            [2 * EXPONENT_LIMIT + max(col) for col in zip(*self.offsets)]))
+        self.bases = tuple(self.step(off) + t for off, t in zip(self.offsets, self.tierank))
+
+    @classmethod
+    def rank_one(cls, ring_order: MonomialOrder) -> "SchreyerOrder":
+        return cls(ring_order, [(0,) * ring_order.nvars], [0])
+
+    def next(self, leads) -> "SchreyerOrder":
+        """The order on the syzygies of elements with leading monomials leads."""
+        chains = sorted(range(len(leads)), key=lambda k: (self.tierank[leads[k][0]], -k))
+        tierank = [0] * len(leads)
+        for rank, k in enumerate(chains):
+            tierank[k] = rank
+        return SchreyerOrder(self.ring_order,
+                             [exp_add(exp, self.offsets[pos]) for pos, exp in leads],
+                             tierank)
+
+    def step(self, u) -> int:
+        return sum(map(mul, self.steps, u))
+
+    def key(self, mm) -> int:
+        pos, u = mm
+        return self.step(u) + self.bases[pos]
+
+
+class PackedLevel:
+    """The monic elements of one level as packed terms, and their S-pairs.
+
+    elements[k] lists the terms (m, key, c) of element k, m packed by codec
+    and key its ``order`` key; tails[k] leaves out the leading monomial
+    leads[k] = (pos, exp).  divisors[pos] lists, by index, (k << shift, m,
+    key, tail) of the elements k that lead at pos.
+    """
+
+    __slots__ = ("codec", "order", "elements", "tails", "leads", "divisors")
+
+    def __init__(self, codec: MonomialCodec, order: SchreyerOrder, term_maps, leads):
+        shift, exponents, step, bases = codec.shift, codec.exponents, order.step, order.bases
+        self.codec, self.order, self.leads = codec, order, list(leads)
+        self.elements = [[(m, step(exponents(m)) + bases[m >> shift], c) for m, c in t.items()]
+                         for t in term_maps]
+        self.tails, self.divisors = [], {}
+        for k, ((pos, exp), terms) in enumerate(zip(self.leads, self.elements)):
+            lead = codec.pack(pos, exp)
+            self.tails.append([term for term in terms if term[0] != lead])
+            self.divisors.setdefault(pos, []).append(
+                (k << shift, lead, order.key((pos, exp)), self.tails[-1]))
+
+    def spair_division(self, i: int, j: int, u, v):
+        """(quotients {packed (k, q): c}, remainder {packed: c}) of the S-pair
+        u e_i - v e_j on division by the level: the one S-pair division,
+        behind ``GroebnerBasis`` and every level of the resolution.
+
+        On R^1 a pair with coprime leading monomials takes the closed form
+        -(g - Lm g)*f + (f - Lm f)*g.  Any other pair is divided like ring
+        division: the largest term first, reduced by the first element, by
+        index, whose leading monomial divides it.  Each term carries its key
+        and the key of a product is the key of the term plus that of the
+        quotient, so nothing is ranked here.  An exponent that leaves the
+        packed range raises OverflowError.
+        """
+        shift, guard = self.codec.shift, self.codec.guard
+        tails = self.tails
+        if self.order.rank == 1 and exp_coprime(self.leads[i][1], self.leads[j][1]):
+            quots = {t + (i << shift): -c for t, _, c in tails[j]}
+            quots.update((t + (j << shift), c) for t, _, c in tails[i])
+            return quots, {}
+        # the S-vector u tail_i - v tail_j: the leading terms cancel
+        p: dict = {}        # key -> coefficient
+        mons: dict = {}     # key -> packed monomial
+        for k, w, sign in ((i, u, 1), (j, v, -1)):
+            wm, wk = self.codec.pack(0, w), self.order.step(w)
+            for t, tk, tc in tails[k]:
+                mk = tk + wk
+                s = p.get(mk, 0) + sign * tc
+                if s:
+                    p[mk] = s
+                    mons[mk] = t + wm
+                else:
+                    del p[mk]
+        if any(m & guard for m in mons.values()):
+            raise _overflow()
+        quots: dict = {}
+        rem: dict = {}
+        divisors = self.divisors
+        while p:
+            best = max(p)
+            c = p.pop(best)
+            m = mons[best]
+            for kpos, d, dk, tail in divisors.get(m >> shift, ()):
+                if ((m | guard) - d) & guard == guard:
+                    # best falls at every step, so each quotient term is new
+                    q, qk = m - d, best - dk
+                    quots[q + kpos] = c
+                    for t, tk, tc in tail:
+                        mk = tk + qk
+                        s = p.get(mk)
+                        if s is None:
+                            # keys are exact on sums of two packed monomials,
+                            # so only a new key can be a new monomial
+                            mm = t + q
+                            if mm & guard:
+                                raise _overflow()
+                            p[mk] = -c * tc
+                            mons[mk] = mm
+                        else:
+                            s -= c * tc
+                            if s:
+                                p[mk] = s
+                            else:
+                                del p[mk]
+                    break
+            else:
+                rem[m] = c
+        return quots, rem
 
 
 class GroebnerBasis:
     """Ordered list of monic generators plus S-pair reduction transcripts.
 
-    Transcripts are built on demand: for a pair with coprime leading
-    monomials the combination -(g - Lm g)*f + (f - Lm f)*g is taken as the
-    reduction to zero, every other pair is divided against the basis by
-    ``module_divide`` on term maps, the division the Schreyer resolution
-    runs on every level.  ``transcript`` (and its term-map form
-    ``transcript_terms``) raises ValueError for a pair that leaves a
-    remainder; ``is_groebner_basis`` reports such records instead.
+    Transcripts are built on demand by ``PackedLevel.spair_division`` on the
+    generators packed as a level of R^1, the division the Schreyer
+    resolution runs on every level: the closed form
+    -(g - Lm g)*f + (f - Lm f)*g for a pair with coprime leading monomials,
+    division against the basis for any other.  ``transcript`` (and its
+    term-map form ``transcript_terms``) raises ValueError for a pair that
+    leaves a remainder; ``is_groebner_basis`` reports such records instead.
+    Exponents must stay below ``poly.EXPONENT_LIMIT`` (OverflowError).
     """
 
     def __init__(self, generators: Iterable[Polynomial], order: MonomialOrder):
@@ -94,7 +186,7 @@ class GroebnerBasis:
             raise ValueError("zero polynomial in basis")
         self.generators = tuple(g.monic(order) for g in gens)
         self.order = order
-        self._term_maps = None
+        self._level = None
 
     def __len__(self):
         return len(self.generators)
@@ -117,35 +209,32 @@ class GroebnerBasis:
     def contains(self, f: Polynomial) -> bool:
         return not self.normal_form(f)
 
-    def _sparse(self):
-        """(elements, leads, divisors, key) of the S-pair division: the
-        generators as term maps {(0, exp): c}, built on first use."""
-        if self._term_maps is None:
-            elements = [{(0, exp): c for exp, c in g.terms.items()} for g in self.generators]
-            leads = [(0, exp) for exp in self.leading_exponents]
-            ring_key = self.order.key
-            self._term_maps = (elements, leads, divisor_index(leads),
-                               lambda mm: ring_key(mm[1]))
-        return self._term_maps
+    def _packed(self) -> PackedLevel:
+        """The generators as a packed level of R^1, built on first use."""
+        if self._level is None:
+            codec = MonomialCodec(self.order.nvars)
+            self._level = PackedLevel(
+                codec, SchreyerOrder.rank_one(self.order),
+                [{codec.pack(0, exp): c for exp, c in g.terms.items()} for g in self.generators],
+                [(0, exp) for exp in self.leading_exponents])
+        return self._level
 
     def _spair_division(self, i: int, j: int):
         """(quotients {(k, exp): c}, remainder {(0, exp): c}) of S-pair (i, j)."""
-        elements, leads, divisors, key = self._sparse()
-        lead_i, lead_j = leads[i][1], leads[j][1]
-        if exp_coprime(lead_i, lead_j):
-            quots = {(i, exp): -c for (_, exp), c in elements[j].items() if exp != lead_j}
-            quots.update(((j, exp), c) for (_, exp), c in elements[i].items() if exp != lead_i)
-            return quots, {}
+        level = self._packed()
+        lead_i, lead_j = level.leads[i][1], level.leads[j][1]
         lcm = exp_lcm(lead_i, lead_j)
-        spair = spair_vector(elements, i, j, exp_sub(lcm, lead_i), exp_sub(lcm, lead_j))
-        return module_divide(spair, divisors, elements, key)
+        quots, rem = level.spair_division(i, j, exp_sub(lcm, lead_i), exp_sub(lcm, lead_j))
+        unpack = level.codec.unpack
+        return ({unpack(m): c for m, c in quots.items()},
+                {unpack(m): c for m, c in rem.items()})
 
     def _record(self, i: int, j: int, quots: dict, rem: dict) -> DivisionRecord:
         variables = self.generators[0].variables
         coords: list[dict] = [{} for _ in self.generators]
         for (k, exp), c in quots.items():
             coords[k][exp] = c
-        leads = self._sparse()[1]
+        leads = self._packed().leads
         return DivisionRecord(tuple(Polynomial._raw(variables, q) for q in coords),
                               Polynomial._raw(variables, {exp: c for (_, exp), c in rem.items()}),
                               via_coprime_criterion=exp_coprime(leads[i][1], leads[j][1]))
@@ -159,8 +248,7 @@ class GroebnerBasis:
             raise ValueError("transcript wants a pair i < j of basis indices")
         quots, rem = self._spair_division(i, j)
         if rem:
-            raise ValueError(f"not a Groebner basis: pair ({i}, {j}) "
-                             "does not reduce to zero")
+            raise remainder_error(i, j)
         return quots
 
     def transcript(self, i: int, j: int) -> DivisionRecord:
@@ -169,6 +257,10 @@ class GroebnerBasis:
     def spair_transcripts(self) -> dict[tuple[int, int], DivisionRecord]:
         n = len(self.generators)
         return {(i, j): self.transcript(i, j) for i in range(n) for j in range(i + 1, n)}
+
+
+def remainder_error(i: int, j: int) -> ValueError:
+    return ValueError(f"not a Groebner basis: pair ({i}, {j}) does not reduce to zero")
 
 
 def _complete_with(basis: list, lead, reduce, first: int,

@@ -104,6 +104,45 @@ class MonomialOrder:
                           sum(u[i] * wi for i, wi in tw),
                           *(-u[i] for i in rev))
 
+    def _linear_forms(self) -> list[tuple[int, ...]]:
+        """The entries of ``key`` as linear forms in u, in key order."""
+        n = self.nvars
+
+        def unit(i, sign=1):
+            return tuple(sign * (k == i) for k in range(n))
+
+        perm, rev = self.perm, tuple(reversed(self.perm))
+        if self.kind == "lex":
+            return [unit(i) for i in perm]
+        if self.kind == "grlex":
+            return [(1,) * n] + [unit(i) for i in perm]
+        if self.kind == "grevlex":
+            return [(1,) * n] + [unit(i, -1) for i in rev]
+        if self.kind == "weighted":
+            return [self.weights] + [unit(i, -1) for i in rev]
+        head, tail = perm[:self.elim], perm[self.elim:]
+        tw = tuple((self.weights[i] if self.weights else 1) if i in tail else 0
+                   for i in range(n))
+        return ([unit(i) for i in head] + [tw]
+                + [unit(i, -1) for i in reversed(tail)])
+
+    def integer_key(self, bounds) -> tuple[int, ...]:
+        """Coefficients c of the integer key sum(c[i] * u[i]), which orders
+        the exponent vectors with 0 <= u[i] < bounds[i] exactly as ``key``.
+
+        The first nvars entries of ``key`` already determine u.  They are
+        packed in mixed radix, each entry's radix exceeding its spread over
+        the box, so the integers compare as the tuples do.  The key is
+        linear: the key of a product is the sum of the keys.
+        """
+        coeffs = [0] * self.nvars
+        scale = 1
+        for form in reversed(self._linear_forms()[:self.nvars]):
+            for i, a in enumerate(form):
+                coeffs[i] += a * scale
+            scale *= 1 + sum(abs(a) * (b - 1) for a, b in zip(form, bounds))
+        return tuple(coeffs)
+
     @property
     def degree_compatible(self) -> bool:
         """True when the order refines total degree (needed to homogenize)."""

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, mul, sub
+from operator import add, le, lshift, mul, sub
 from typing import Mapping, Sequence
 
 from .orders import MonomialOrder
@@ -37,6 +38,52 @@ def exp_coprime(u, v):
 
 def weighted_degree(u, weights) -> int:
     return sum(a * w for a, w in zip(u, weights))
+
+
+# ---- packed module monomials --------------------------------------------------
+
+EXPONENT_BITS = 16
+EXPONENT_LIMIT = 1 << (EXPONENT_BITS - 1)    # packed exponents stay below this
+
+
+class MonomialCodec:
+    """Module monomials (pos, u) over nvars variables, each packed in one int.
+
+    Exponent u[i] fills the field of bits i*EXPONENT_BITS and up: a value
+    below EXPONENT_LIMIT topped by a guard bit.  pos sits above the fields.
+    Multiplying by a ring monomial is one integer addition: two fields in
+    range sum below twice the limit, so no carry crosses a field, and the sum
+    is in range exactly when it sets no guard bit.  (pos, d) divides (pos, m)
+    exactly when ((m | guard) - d) & guard == guard: a field where d exceeds
+    m borrows its guard bit, and no borrow crosses a field.
+    """
+
+    __slots__ = ("shift", "guard", "fields", "_offsets", "_struct")
+
+    def __init__(self, nvars: int):
+        self._struct = struct.Struct(f"<{nvars}H")    # "H": EXPONENT_BITS = 16
+        self._offsets = tuple(range(0, nvars * EXPONENT_BITS, EXPONENT_BITS))
+        self.shift = nvars * EXPONENT_BITS
+        self.fields = (1 << self.shift) - 1
+        self.guard = sum(EXPONENT_LIMIT << s for s in self._offsets)
+
+    def pack(self, pos: int, exp) -> int:
+        """The int of (pos, exp); OverflowError for an exponent out of range."""
+        if exp and max(exp) >= EXPONENT_LIMIT:
+            raise _overflow()
+        return sum(map(lshift, exp, self._offsets), pos << self.shift)
+
+    def exponents(self, m: int) -> tuple:
+        """The exponent vector of a packed monomial, its position dropped."""
+        return self._struct.unpack((m & self.fields).to_bytes(self._struct.size, "little"))
+
+    def unpack(self, m: int):
+        return m >> self.shift, self.exponents(m)
+
+
+def _overflow() -> OverflowError:
+    return OverflowError(f"monomial exponent above {EXPONENT_LIMIT - 1}, "
+                         "the limit of packed monomials")
 
 
 def _inverse(c):
@@ -104,8 +151,8 @@ class Polynomial:
     def _raw(cls, variables, terms: dict) -> "Polynomial":
         # internal fast path: caller guarantees canonical terms
         self = object.__new__(cls)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", terms)
+        _set_variables(self, variables)
+        _set_terms(self, terms)
         return self
 
     def __setattr__(self, name, value):
@@ -303,6 +350,11 @@ class Polynomial:
         """Deterministic comparison key, independent of any monomial order."""
         return tuple(sorted((e, (c.numerator, c.denominator))
                             for e, c in self.terms.items()))
+
+
+# the slots' own setters: Polynomial.__setattr__ refuses every assignment
+_set_variables = Polynomial.variables.__set__
+_set_terms = Polynomial.terms.__set__
 
 
 # ---- division with transcript -------------------------------------------

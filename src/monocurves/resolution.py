@@ -5,14 +5,15 @@ the first differential; the reduction transcript of each S-pair yields a
 generating set of the syzygy module which is again a Groebner basis with
 respect to the order induced on positions by the parent leading terms, so
 the construction iterates without ever running a module Buchberger
-completion.  Every level runs the same sparse S-pair division on term maps
-{(pos, exp): c}, ``groebner.module_divide``: the ring level reads it from
-``GroebnerBasis.transcript_terms``, the levels above call it themselves.
-The leading monomial of each syzygy is read off its pair (Schreyer's
-theorem), so no term is ranked to prune a level.  Minimalization then
-splits off the trivial summands one unit entry at a time, keeping the Schur
-complement of the differential that holds it; the surviving ranks are the
-Betti numbers.
+completion.  Each level is a ``groebner.PackedLevel``: its elements are
+packed term maps, every module monomial one int, each term with its
+integer key under the level's ``SchreyerOrder``, and every level, the ring
+level included, divides its S-pairs by ``PackedLevel.spair_division``.  The
+leading monomial of each syzygy is read off its pair (Schreyer's theorem),
+so a level is pruned on those leads first and only the kept pairs are
+divided.  Minimalization then splits off the trivial summands one unit
+entry at a time, keeping the Schur complement of the differential that
+holds it; the surviving ranks are the Betti numbers.
 """
 
 from __future__ import annotations
@@ -20,50 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groebner import GroebnerBasis, divisor_index, module_divide, spair_vector
-from .orders import MonomialOrder
-from .poly import Polynomial, _inverse, exp_add, exp_divides, exp_lcm, exp_sub, weighted_degree
+from .groebner import GroebnerBasis, PackedLevel, remainder_error
+from .poly import Polynomial, _inverse, exp_divides, exp_lcm, exp_sub, weighted_degree
 from .toric import GradedIdealPresentation, MonomialCurve, defining_ideal, monomial_curve
-
-
-# ---- orders on free-module monomials (position, exponent vector) ----------
-
-class SchreyerOrder:
-    """Module order on one level of a Schreyer resolution, as one flat key.
-
-    Level 0 is R^1 under the ring order (``rank_one``).  ``next(leads)``
-    gives the order on the syzygies of a level whose elements have the
-    leading monomials leads[k] = (pos, exp): (k, u) ranks as (pos, u * exp)
-    does one level down, ties going to the smaller k.  With this order the
-    Schreyer generators of the syzygy module are already a Groebner basis.
-
-    Unwound to level 0, position k carries the offset off[k], the product
-    of the leading monomials along its chain of positions p0 = 0, p1, ...,
-    k, and the tie-breaks tie[k] = (-p0, -p1, ..., -k), so one flat key
-    ranks the level: ``key((k, u)) = ring_key(u + off[k]) + tie[k]``.  The
-    module monomial with the larger key is the larger one.
-    """
-
-    __slots__ = ("ring_key", "offsets", "ties")
-
-    def __init__(self, ring_key, offsets, ties):
-        self.ring_key = ring_key
-        self.offsets = tuple(offsets)
-        self.ties = tuple(ties)
-
-    @classmethod
-    def rank_one(cls, ring_order: MonomialOrder) -> "SchreyerOrder":
-        return cls(ring_order.key, [(0,) * ring_order.nvars], [(0,)])
-
-    def next(self, leads) -> "SchreyerOrder":
-        """The order on the syzygies of elements with leading monomials leads."""
-        return SchreyerOrder(self.ring_key,
-                             [exp_add(exp, self.offsets[pos]) for pos, exp in leads],
-                             [self.ties[pos] + (-k,) for k, (pos, _) in enumerate(leads)])
-
-    def key(self, mm):
-        pos, u = mm
-        return self.ring_key(exp_add(u, self.offsets[pos])) + self.ties[pos]
 
 
 # ---- free module elements --------------------------------------------------
@@ -140,18 +100,53 @@ def _dense_key(element: dict, rank: int):
                  for h in _coordinates(element, rank))
 
 
-def _syzygy_from_pair(i, j, u, v, quotients, elements) -> dict:
-    # The negated Schreyer tuple (-h_1, ..., u - h_i, ..., -v - h_j, ...)
-    # of S(g_i, g_j) = u g_i - v g_j = sum h_k g_k, checked by accumulating
+def _unpacked(codec, element: dict) -> dict:
+    """A packed term map as the term map {(pos, exp): c}."""
+    return {codec.unpack(m): c for m, c in element.items()}
+
+
+def _pairs(leads) -> list[tuple]:
+    """(i, j, u, v) for each S-pair u e_i - v e_j of a level, i < j leading
+    at one position and u e_i, v e_j their lcm, in (i, j) order."""
+    out = []
+    for i, (ipos, iexp) in enumerate(leads):
+        for j in range(i + 1, len(leads)):
+            jpos, jexp = leads[j]
+            if ipos == jpos:
+                lcm = exp_lcm(iexp, jexp)
+                out.append((i, j, exp_sub(lcm, iexp), exp_sub(lcm, jexp)))
+    return out
+
+
+def _syzygy(level: PackedLevel, pairs, n: int) -> dict:
+    """The negated Schreyer tuple of pairs[n], a packed term map.
+
+    A remainder means the ring level is no Groebner basis (ValueError naming
+    the first such pair in (i, j) order, as a scan of every pair would) or,
+    above it, breaks Schreyer's theorem (AssertionError).
+    """
+    i, j, u, v = pairs[n]
+    quotients, rem = level.spair_division(i, j, u, v)
+    if rem:
+        if level.order.rank == 1:
+            for i2, j2, u2, v2 in pairs:
+                if level.spair_division(i2, j2, u2, v2)[1]:
+                    raise remainder_error(i2, j2)
+        raise AssertionError(f"transcript integrity failure: pair ({i}, {j}) left a remainder")
+    # The negated tuple (-h_1, ..., u - h_i, ..., -v - h_j, ...) of
+    # S(g_i, g_j) = u g_i - v g_j = sum h_k g_k, checked by accumulating
     # sum h_k g_k.  The quotients stay below the lcm, so the lead is (i, u)
     # with coefficient 1 (ties go to the smaller i); a quotient term at
     # (i, u) or (j, v) would be overwritten and fail the check.
-    syz = {mm: -c for mm, c in quotients.items()}
-    syz[i, u], syz[j, v] = 1, -1
+    codec = level.codec
+    shift, fields = codec.shift, codec.fields
+    syz = {m: -c for m, c in quotients.items()}
+    syz[codec.pack(i, u)], syz[codec.pack(j, v)] = 1, -1
     total: dict = {}
-    for (k, qexp), qc in syz.items():
-        for (tpos, texp), tc in elements[k].items():
-            mm = (tpos, exp_add(qexp, texp))
+    for m, qc in syz.items():
+        q = m & fields
+        for t, _, tc in level.elements[m >> shift]:
+            mm = t + q
             s = total.get(mm, 0) + qc * tc
             if s:
                 total[mm] = s
@@ -162,64 +157,53 @@ def _syzygy_from_pair(i, j, u, v, quotients, elements) -> dict:
     return syz
 
 
-def _syzygies(elements, leads, quotients):
-    """The negated Schreyer tuples of one level in pair order, monic, and
-    their leading monomials (i, lcm - lead_i), read off the pairs (i, j).
+def _kept_syzygies(level: PackedLevel):
+    """The syzygies of a level that pruning keeps, and their leads (i, u).
 
-    elements are monic term maps with leading monomials leads[k] = (pos,
-    exp); quotients(i, j, u, v) are those of the S-pair u e_i - v e_j on
-    division by the level, one term map {(k, exp): c}.
+    By Schreyer's theorem the syzygy of the pair (i, j) leads at (i, u), so
+    the pairs are pruned on their leads first and only the kept ones are
+    divided, with each member of a tied group the dense tie key needs.
+    At the ring level this still decides whether the level is a Groebner
+    basis.  The pair syzygies tau_ij = u e_i - v e_j of the leading terms
+    are a Groebner basis of Syz(LT(G)) with leading monomials (i, u), so
+    the kept ones, whose leads divide every pruned lead at its position,
+    are one too and generate Syz(LT(G)).  By the syzygy form of Buchberger's criterion (Cox,
+    Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 2, section 9)
+    G is a Groebner basis exactly when the S-pair of each element of a
+    homogeneous generating set of Syz(LT(G)) reduces to zero, so a
+    remainder among the kept pairs exists exactly when one does among all.
     """
-    out, out_leads = [], []
-    for i, (ipos, iexp) in enumerate(leads):
-        for j in range(i + 1, len(leads)):
-            jpos, jexp = leads[j]
-            if ipos != jpos:
-                continue
-            lcm = exp_lcm(iexp, jexp)
-            u, v = exp_sub(lcm, iexp), exp_sub(lcm, jexp)
-            out.append(_syzygy_from_pair(i, j, u, v, quotients(i, j, u, v), elements))
-            out_leads.append((i, u))
-    return out, out_leads
+    pairs = _pairs(level.leads)
+    leads = [(i, u) for i, _, u, _ in pairs]
+    found: dict = {}
 
+    def syzygy(n):
+        if n not in found:
+            found[n] = _syzygy(level, pairs, n)
+        return found[n]
 
-def _ring_syzygies(gb: GroebnerBasis):
-    """The ring level: the basis as term maps {(0, exp): c}, its leads, and
-    ``_syzygies`` on the quotients of ``GroebnerBasis.transcript_terms``
-    (ValueError when a pair leaves a remainder)."""
-    elements, leads, _, _ = gb._sparse()
-    return (elements, leads,
-            *_syzygies(elements, leads, lambda i, j, u, v: gb.transcript_terms(i, j)))
-
-
-def _module_syzygies(elements, leads, key):
-    """``_syzygies`` of a module level with its order key: a pair left with
-    a remainder would break Schreyer's theorem (AssertionError)."""
-    divisors = divisor_index(leads)
-
-    def quotients(i, j, u, v):
-        quots, rem = module_divide(spair_vector(elements, i, j, u, v), divisors,
-                                   elements, key)
-        if rem:
-            raise AssertionError("transcript integrity failure: "
-                                 f"pair ({i}, {j}) left a remainder")
-        return quots
-
-    return _syzygies(elements, leads, quotients)
+    rank = len(level.leads)
+    kept = _prune_and_sort(leads, lambda n: _dense_key(_unpacked(level.codec, syzygy(n)), rank))
+    return [syzygy(n) for n in kept], [leads[n] for n in kept]
 
 
 def schreyer_syzygies(gb: GroebnerBasis, weights=None) -> list[FreeModuleElement]:
-    """Generators of Syz(g_1, ..., g_t) read off the S-pair transcripts."""
+    """Generators of Syz(g_1, ..., g_t) read off the S-pair transcripts,
+    one for every pair, in pair order."""
     if len(gb) <= 1:
         return []
     if weights is None:
         weights = (1,) * len(gb.generators[0].variables)
     shifts = tuple(g.weighted_degree(weights) for g in gb.generators)
-    _, _, syz, _ = _ring_syzygies(gb)
-    return [FreeModuleElement([Polynomial._raw(gb.generators[0].variables,
-                                               {exp: -c for exp, c in h.items()})
-                               for h in _coordinates(s, len(gb))], shifts)
-            for s in syz]
+    variables = gb.generators[0].variables
+    level = gb._packed()
+    pairs = _pairs(level.leads)
+    out = []
+    for n in range(len(pairs)):
+        syz = _unpacked(level.codec, _syzygy(level, pairs, n))
+        out.append(FreeModuleElement([Polynomial._raw(variables, {exp: -c for exp, c in h.items()})
+                                      for h in _coordinates(syz, len(gb))], shifts))
+    return out
 
 
 def _prune_and_sort(leads, tie_key) -> list[int]:
@@ -240,9 +224,12 @@ def _prune_and_sort(leads, tie_key) -> list[int]:
     for k, lead in enumerate(leads):
         groups.setdefault(lead, []).append(k)
     kept: list[tuple] = []
+    at: dict = {}       # pos -> the kept leading exponents there
     for lead in sorted(groups, key=lambda lead: (lead[0], sum(lead[1]), lead[1])):
         pos, exp = lead
-        if not any(kp == pos and exp_divides(ke, exp) for (kp, ke), _ in kept):
+        divisors = at.setdefault(pos, [])
+        if not any(exp_divides(ke, exp) for ke in divisors):
+            divisors.append(exp)
             group = groups[lead]
             kept.append((lead, group[0] if len(group) == 1 else min(group, key=tie_key)))
     kept.sort(key=lambda it: (it[0][0], tuple(-e for e in it[0][1])))
@@ -356,27 +343,27 @@ def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
     leads = [(0, g.leading(pres.order)[0]) for g in gens]
     kept = _prune_and_sort(leads, lambda k: gens[k].sort_key())
     gb = GroebnerBasis([gens[k] for k in kept], pres.order)
-    # gb must span every generator; the level-1 transcripts check it is a basis
-    if any(gb.normal_form(g) for g in pres.generators):
+    # gb must span the generators it dropped; the level-1 transcripts check
+    # it is a basis
+    dropped = set(range(len(gens))).difference(kept)
+    if any(gb.normal_form(pres.generators[k]) for k in sorted(dropped)):
         raise ValueError("presentation generators are not a Groebner basis")
 
     nvars = len(variables)
     shifts: list[list[int]] = [[0], [g.weighted_degree(weights) for g in gb]]
     diffs: list[list[list[Polynomial]]] = [[list(gb.generators)]]
-    order = SchreyerOrder.rank_one(pres.order)
-    elements, leads, syz, syz_leads = _ring_syzygies(gb)
+    level = gb._packed()
+    syz, syz_leads = _kept_syzygies(level)
     while syz:
         if len(diffs) >= nvars:
             raise AssertionError("resolution exceeded the variable-count bound")
-        rank, prev = len(elements), shifts[-1]
-        order = order.next(leads)
-        kept = _prune_and_sort(syz_leads, lambda k: _dense_key(syz[k], rank))
-        elements, leads = [syz[k] for k in kept], [syz_leads[k] for k in kept]
-        coords = [_coordinates(e, rank) for e in elements]
+        rank, prev = len(level.leads), shifts[-1]
+        coords = [_coordinates(_unpacked(level.codec, e), rank) for e in syz]
         diffs.append([[Polynomial._raw(variables, col[r]) for col in coords]
                       for r in range(rank)])
-        shifts.append([weighted_degree(exp, weights) + prev[pos] for pos, exp in leads])
-        syz, syz_leads = _module_syzygies(elements, leads, order.key)
+        shifts.append([weighted_degree(exp, weights) + prev[pos] for pos, exp in syz_leads])
+        level = PackedLevel(level.codec, level.order.next(level.leads), syz, syz_leads)
+        syz, syz_leads = _kept_syzygies(level)
     ranks = [len(s) for s in shifts]
     return GradedResolution(ranks, shifts, diffs, variables, weights)
 

@@ -1,4 +1,4 @@
-"""The nested Schreyer module order, kept as the oracle for the flat key.
+"""The nested Schreyer module order, kept as the oracle for the integer key.
 
 Each level's key calls its parent level's key once, down to the rank-one
 key on the ideal's own free module: (i, u) beats (j, v) iff u * Lm(g_i)

@@ -279,3 +279,50 @@ def test_groebner_basis_container():
     assert gb.contains(gb[0] * gb[1])
     with pytest.raises(ValueError):
         gb.transcript(1, 1)
+
+
+def test_exponent_overflow_raises_in_lex_division():
+    # lex division is not degree-bounded: the tails of a lex basis may pass
+    # the packed exponent limit, which raises OverflowError rather than carry
+    # into the next field, whether the S-vector or a reduction step
+    # (x1^(L-2) * x1^(L-1)) passes it; one step lower, both run
+    from monocurves.poly import EXPONENT_LIMIT
+
+    top = EXPONENT_LIMIT - 1
+    for gens in ([p(f"x0 - x1^{top}"), p("x0*x1 - 1")],
+                 [p("x0^2 - 1"), p(f"x0*x1 - x1^{top}")]):
+        with pytest.raises(OverflowError, match=f"^monomial exponent above {top}"):
+            is_groebner_basis(gens, LEX2)
+        with pytest.raises(OverflowError):
+            GroebnerBasis(gens, LEX2).transcript(0, 1)
+    ok, records = is_groebner_basis([p(f"x0 - x1^{top - 1}"), p("x0*x1 - 1")], LEX2)
+    assert not ok and records[0, 1].remainder == p(f"-x1^{top} + 1")
+    ok, records = is_groebner_basis([p("x0^2 - 1"), p(f"x0*x1 - x1^{top // 2}")], LEX2)
+    assert not ok and records[0, 1].remainder == p(f"x1^{2 * (top // 2) - 1} - x1")
+
+
+def test_schreyer_key_is_exact_on_sums_of_packed_monomials():
+    # key((k, u)) = R * K(u + off[k]) + tierank[k] ranks as the tuple
+    # (ring key of u + off[k], tierank[k]) for every u below twice the
+    # packed limit, a sum of two packed monomials, however large the
+    # offsets: checked on a grid of few values, so that vectors often tie
+    # on their leading entries and the lower ones decide
+    from itertools import product
+
+    from monocurves import SchreyerOrder
+    from monocurves.poly import EXPONENT_LIMIT
+
+    grid = (0, 1, 2, EXPONENT_LIMIT - 1, 2 * EXPONENT_LIMIT - 1)
+    cases = [(order, grid) for order in (MonomialOrder.lex(2), MonomialOrder.grlex(2, (1, 0)),
+                                         MonomialOrder.grevlex(2), MonomialOrder.weighted((3, 1)))]
+    cases.append((MonomialOrder.grevlex(3, (2, 0, 1)), grid[::2]))
+    for order, values in cases:
+        n = order.nvars
+        for offsets in product([(0,) * n, (1,) + (0,) * (n - 1),
+                                (0,) * (n - 1) + (3 * EXPONENT_LIMIT,)], repeat=2):
+            for tierank in ((0, 1), (1, 0)):
+                schreyer = SchreyerOrder(order, offsets, tierank)
+                monomials = [(k, u) for k in (0, 1) for u in product(values, repeat=n)]
+                tuple_key = lambda mm: (order.key(tuple(map(sum, zip(mm[1], offsets[mm[0]])))),
+                                        tierank[mm[0]])
+                assert sorted(monomials, key=schreyer.key) == sorted(monomials, key=tuple_key)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monocurves import MonomialOrder, Polynomial
 
@@ -104,3 +106,37 @@ def test_length_mismatch():
     for order in all_kinds(3):
         with pytest.raises(ValueError):
             f.leading(order)
+
+
+@st.composite
+def orders_and_bounds(draw):
+    """Any order kind with a random perm (and weights, elim block) and a
+    box of exponent bounds."""
+    nvars = draw(st.integers(1, 6))
+    perm = tuple(draw(st.permutations(range(nvars))))
+    weights = tuple(draw(st.lists(st.integers(1, 40), min_size=nvars, max_size=nvars)))
+    kinds = [MonomialOrder.lex(nvars, perm), MonomialOrder.grlex(nvars, perm),
+             MonomialOrder.grevlex(nvars, perm), MonomialOrder.weighted(weights, perm)]
+    if nvars > 1:
+        elim = draw(st.integers(1, nvars - 1))
+        kinds += [MonomialOrder.elimination(nvars, elim, perm=perm),
+                  MonomialOrder.elimination(nvars, elim, weights, perm)]
+    bounds = tuple(draw(st.lists(st.sampled_from((1, 2, 3, 7, 1 << 16, 1 << 40)),
+                                 min_size=nvars, max_size=nvars)))
+    return draw(st.sampled_from(kinds)), bounds
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(orders_and_bounds(), st.data())
+def test_integer_key_orders_like_the_key(order_bounds, data):
+    order, bounds = order_bounds
+    coeffs = order.integer_key(bounds)
+    vector = st.tuples(*(st.integers(0, b - 1) for b in bounds))
+    vectors = data.draw(st.lists(vector, min_size=2, max_size=12))
+    for u in vectors:
+        for v in vectors:
+            ku = sum(c * a for c, a in zip(coeffs, u))
+            kv = sum(c * a for c, a in zip(coeffs, v))
+            assert cmp(order, u, v) == (ku > kv) - (ku < kv)
+            # linear: the key of a product is the sum of the keys
+            assert sum(c * (a + b) for c, a, b in zip(coeffs, u, v)) == ku + kv

@@ -320,3 +320,43 @@ def test_int_coefficients_agree_with_fractions(f_terms, divisor_terms, order):
     if all(abs(g.leading(order)[1]) == 1 for g in divisors):
         assert all(type(c) is int for g in rec.quotients + (rec.remainder,)
                    for c in g.terms.values())
+
+
+# ---- packed module monomials --------------------------------------------------
+
+def _in_range(nvars):
+    from monocurves.poly import EXPONENT_LIMIT
+
+    return st.tuples(*[st.sampled_from((0, 1, 2, 5, EXPONENT_LIMIT - 2, EXPONENT_LIMIT - 1))
+                       | st.integers(0, EXPONENT_LIMIT - 1)] * nvars)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.integers(0, 40), _in_range(n),
+                                                     _in_range(n))))
+def test_packed_product_and_divisibility(case):
+    # a product is one addition, in range exactly when no guard bit is set,
+    # and divisibility is one test on the guard bits
+    from monocurves.poly import EXPONENT_LIMIT, MonomialCodec, exp_add, exp_divides
+
+    pos, u, v = case
+    codec = MonomialCodec(len(u))
+    m, d = codec.pack(pos, u), codec.pack(pos, v)
+    assert codec.unpack(m) == (pos, u)
+    w = exp_add(u, v)
+    assert bool((m + codec.pack(0, v)) & codec.guard) == (max(w) >= EXPONENT_LIMIT)
+    if max(w) < EXPONENT_LIMIT:
+        assert codec.unpack(m + codec.pack(0, v)) == (pos, w)
+    assert (((m | codec.guard) - d) & codec.guard == codec.guard) == exp_divides(v, u)
+    lower = codec.pack(pos, tuple(map(min, u, v)))
+    assert ((m | codec.guard) - lower) & codec.guard == codec.guard
+
+
+def test_exponent_out_of_range_raises():
+    from monocurves.poly import EXPONENT_LIMIT, MonomialCodec
+
+    codec = MonomialCodec(3)
+    assert codec.unpack(codec.pack(7, (EXPONENT_LIMIT - 1, 0, 1))) == (7, (EXPONENT_LIMIT - 1, 0, 1))
+    for exp in ((EXPONENT_LIMIT, 0, 0), (0, 0, EXPONENT_LIMIT), (0, 3 * EXPONENT_LIMIT, 0)):
+        with pytest.raises(OverflowError, match=f"^monomial exponent above {EXPONENT_LIMIT - 1}"):
+            codec.pack(0, exp)

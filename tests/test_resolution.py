@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -267,7 +268,7 @@ def test_hilbert_series_identity():
             assert series == expected, (gens, res.minimal)
 
 
-# ---- the oracle corpus: graded Betti numbers, the flat key, exactness -------
+# ---- the oracle corpus: graded Betti numbers, the integer key, exactness ----
 
 def oracle_curves():
     """Every minimal 3-generated semigroup with n0 <= 9 and n2 <= 12, five
@@ -316,7 +317,8 @@ def test_last_shifts_reach_the_oracle_scan_bound(oracle_resolutions):
 
 def test_flat_schreyer_key_matches_nested_oracle(oracle_resolutions):
     # at every level, the monomials of the differential's columns (and their
-    # multiples by each variable) sort the same under both keys
+    # multiples by each variable) sort the same under the integer key and
+    # the nested tuple key
     from schreyer_oracle import rank_one_key, schreyer_key
 
     from monocurves import SchreyerOrder
@@ -330,6 +332,7 @@ def test_flat_schreyer_key_matches_nested_oracle(oracle_resolutions):
             monomials = {(r, tuple(a + b for a, b in zip(exp, unit)))
                          for col in columns for r, exp in col for unit in units}
             monomials.update(mm for col in columns for mm in col)
+            assert all(type(flat.key(mm)) is int for mm in monomials)
             assert sorted(monomials, key=flat.key) == sorted(monomials, key=nested), gens
             leads = [max(col, key=nested) for col in columns]
             flat, nested = flat.next(leads), schreyer_key(nested, leads)
@@ -355,51 +358,33 @@ def test_coefficients_are_exact_integers(oracle_resolutions):
 
 # ---- the annihilation check is not narrower ---------------------------------
 
-# each corrupts the last quotient of a pair (i, j) with j below the last
-# index, so a check of the pair's own two coordinates would miss it
+# each corrupts the output of the one S-pair division, PackedLevel.spair_division:
+# it adds 1 to the constant coefficient of the quotient at the last position
+# other than the pair's own two, which a check of those two would miss
 
-def _plus_one(quotients, t):
-    # add 1 to the constant coefficient of the last of t quotients
-    mm = (t - 1, (0, 0, 0, 0))      # the four-variable ring
-    return {**quotients, mm: quotients.get(mm, 0) + 1}
-
-
-def _corrupt_level_one(monkeypatch, coprime):
-    # level 1 reads the quotients of each pair, closed form for a coprime
-    # one and division otherwise, off GroebnerBasis.transcript_terms
-    from monocurves import GroebnerBasis
+def _corrupt_division(monkeypatch, on_ring, coprime=None):
+    from monocurves.groebner import PackedLevel
     from monocurves.poly import exp_coprime
 
-    true_terms = GroebnerBasis.transcript_terms
+    true_division = PackedLevel.spair_division
 
-    def corrupted(self, i, j):
-        quotients = true_terms(self, i, j)
-        leads = self.leading_exponents
-        if j < len(self) - 1 and exp_coprime(leads[i], leads[j]) == coprime:
-            quotients = _plus_one(quotients, len(self))
-        return quotients
+    def corrupted(self, i, j, u, v):
+        quotients, rem = true_division(self, i, j, u, v)
+        if on_ring != (self.order.rank == 1) or (
+                on_ring and exp_coprime(self.leads[i][1], self.leads[j][1]) != coprime):
+            return quotients, rem
+        k = max(set(range(len(self.elements))) - {i, j})
+        mm = k << self.codec.shift      # the monomial 1 at position k
+        return {**quotients, mm: quotients.get(mm, 0) + 1}, rem
 
-    monkeypatch.setattr(GroebnerBasis, "transcript_terms", corrupted)
-
-
-def _corrupt_module_division(monkeypatch):
-    # the resolution's own module_divide serves only the levels from 2 on
-    from monocurves import resolution
-
-    true_divide = resolution.module_divide
-
-    def corrupted(p, divisors, elements, key):
-        quots, rem = true_divide(p, divisors, elements, key)
-        return _plus_one(quots, len(elements)), rem
-
-    monkeypatch.setattr(resolution, "module_divide", corrupted)
+    monkeypatch.setattr(PackedLevel, "spair_division", corrupted)
 
 
 @pytest.mark.parametrize("corruptions", [
     # level 1: once on a coprime pair (closed form), once on a divided pair
-    [lambda m: _corrupt_level_one(m, True), lambda m: _corrupt_level_one(m, False)],
+    [lambda m: _corrupt_division(m, True, True), lambda m: _corrupt_division(m, True, False)],
     # level 2 and up: every module division
-    [_corrupt_module_division],
+    [lambda m: _corrupt_division(m, False)],
 ], ids=["level-1-transcript", "level-2-module-division"])
 def test_corrupted_quotient_breaks_annihilation(corruptions, monkeypatch, capsys):
     from monocurves.cli import main
@@ -459,8 +444,9 @@ def test_resolution_ranks_and_cancels_without_repeats(monkeypatch):
     # pruning reads every lead off its S-pair, so it never ranks a term with
     # SchreyerOrder.key; from level 1 on it builds the dense tie key once for
     # each element of a surviving group of equal leads (26 on this curve) and
-    # for no other; minimalize resumes its scan after each cancellation
-    # (248 965 _constant_value calls on this curve when it restarted)
+    # for no other; it runs once more on the last level, which has no pairs;
+    # minimalize resumes its scan after each cancellation (248 965
+    # _constant_value calls on this curve when it restarted)
     from collections import Counter
 
     from monocurves import SchreyerOrder, resolution
@@ -492,7 +478,7 @@ def test_resolution_ranks_and_cancels_without_repeats(monkeypatch):
     monkeypatch.setattr(SchreyerOrder, "key", counted_key)
     monkeypatch.setattr(resolution, "_dense_key", counted_dense)
     raw = free_resolution(pres)
-    assert calls["levels"] == len(raw.ranks) - 1
+    assert calls["levels"] == len(raw.ranks)
     assert calls["key"] == 0
     assert calls["dense"] == calls["tied"] == 26
 
@@ -518,47 +504,76 @@ def _element(term_map, rank, variables, sign):
 
 def assert_prune_matches_oracle(pres, monkeypatch):
     """At every level, the sparse prune keeps the elements the dense oracle
-    keeps, in the same order and with the same leads, and every lead read
-    off a pair is the largest monomial of its Schreyer tuple, coefficient
-    -1.  Returns the number of leads read off pairs."""
+    keeps from the syzygies of every pair, in the same order and with the
+    same leads, and every lead read off a pair is the largest monomial of
+    its Schreyer tuple, coefficient -1.  Returns the number of leads read
+    off pairs."""
     from prune_oracle import prune_and_sort
 
     from monocurves import FreeModuleElement, SchreyerOrder, resolution
 
-    found, pruned = [], []
-    syzygies, prune = resolution._syzygies, resolution._prune_and_sort
+    levels = []
+    kept_syzygies = resolution._kept_syzygies
 
-    def recording_syzygies(*args):
-        found.append(syzygies(*args))
-        return found[-1]
-
-    def recording_prune(leads, tie_key):
-        pruned.append((leads, prune(leads, tie_key)))
-        return pruned[-1][1]
+    def recording(level):
+        levels.append((level, kept_syzygies(level)))
+        return levels[-1][1]
 
     with monkeypatch.context() as m:
-        m.setattr(resolution, "_syzygies", recording_syzygies)
-        m.setattr(resolution, "_prune_and_sort", recording_prune)
+        m.setattr(resolution, "_kept_syzygies", recording)
         free_resolution(pres)
-    assert len(found) == len(pruned) and found[-1] == ([], [])
+    assert levels[-1][1] == ([], [])
 
     order = SchreyerOrder.rank_one(pres.order)
     want, want_leads = prune_and_sort([FreeModuleElement((g,), (0,)) for g in pres.generators],
                                       order.key)
-    leads, kept = pruned[0]
-    assert [pres.generators[k].monic(pres.order) for k in kept] == [e.coordinates[0] for e in want]
-    assert [leads[k] for k in kept] == want_leads
+    ring = levels[0][0]
+    assert [_element(resolution._unpacked(ring.codec, {m: c for m, _, c in terms}), 1,
+                     pres.variables, 1) for terms in ring.elements] == want
+    assert ring.leads == want_leads
     read = 0
-    for (syz, syz_leads), (leads, kept) in zip(found, pruned[1:]):
-        assert leads == syz_leads
+    for level, (kept, kept_leads) in levels:
+        # the dense oracle gets the syzygy of every pair
+        pairs = resolution._pairs(level.leads)
+        syz = [resolution._unpacked(level.codec, resolution._syzygy(level, pairs, n))
+               for n in range(len(pairs))]
+        syz_leads = [(i, u) for i, _, u, _ in pairs]
         order, rank = order.next(want_leads), len(want_leads)
         tuples = [_element(s, rank, pres.variables, -1) for s in syz]
         assert [t.leading(order.key) for t in tuples] == [lead + (-1,) for lead in syz_leads]
         read += len(syz)
         want, want_leads = prune_and_sort(tuples, order.key)
-        assert [_element(syz[k], rank, pres.variables, 1) for k in kept] == want
-        assert [syz_leads[k] for k in kept] == want_leads
+        assert [_element(resolution._unpacked(level.codec, s), rank, pres.variables, 1)
+                for s in kept] == want
+        assert kept_leads == want_leads
     return read
+
+
+def test_only_kept_pairs_are_divided(monkeypatch):
+    # leads are read off the pairs, so a level is pruned before it is
+    # divided: on (9, ..., 15) the ring level forms 171 pairs and keeps 61,
+    # and 267 of the 372 pairs of all levels are divided, the kept ones and
+    # the members of tied groups that the dense tie key needs
+    from monocurves import resolution
+    from monocurves.groebner import PackedLevel
+
+    formed, divided = [], []
+    pairs, division = resolution._pairs, PackedLevel.spair_division
+
+    def counted_pairs(leads):
+        formed.append(len(pairs(leads)))
+        return pairs(leads)
+
+    def counted_division(self, *args):
+        divided.append(args[:2])
+        return division(self, *args)
+
+    monkeypatch.setattr(resolution, "_pairs", counted_pairs)
+    monkeypatch.setattr(PackedLevel, "spair_division", counted_division)
+    raw = free_resolution(parametrization_kernel(tuple(range(9, 16))))
+    assert raw.ranks == [1, 19, 61, 89, 70, 29, 5]
+    assert formed == [171, 90, 73, 32, 6, 0]
+    assert len(divided) == 267
 
 
 def test_prune_matches_dense_oracle(monkeypatch):
@@ -566,3 +581,42 @@ def test_prune_matches_dense_oracle(monkeypatch):
     read = sum(assert_prune_matches_oracle(parametrization_kernel(gens), monkeypatch)
                for gens in oracle_curves() + golden)
     assert read == 1068     # 517 of them on the oracle corpus
+
+
+def test_ring_level_error_names_the_first_failing_pair(monkeypatch):
+    # the ring level divides only the pairs its prune keeps, yet
+    # free_resolution raises ValueError exactly when is_groebner_basis says
+    # the presentation is no basis, naming the first pair (i, j) of the
+    # basis it resolves that leaves a remainder, as a scan of every pair does
+    from monocurves import GroebnerBasis, is_groebner_basis, resolution
+
+    bases = []
+
+    class Recording(GroebnerBasis):
+        def __init__(self, *args):
+            super().__init__(*args)
+            bases.append(self)
+
+    monkeypatch.setattr(resolution, "GroebnerBasis", Recording)
+    # window curves m < n_1 < ... < n_(e-1) < 2m; on 25 of the 72 that fail,
+    # the first kept pair with a remainder is not the first pair with one
+    window = [(m,) + rest for m in range(4, 9) for e in (3, 4, 5)
+              for rest in combinations(range(m + 1, 2 * m), e - 1) if gcd(m, *rest) == 1]
+    assert len(window) == 176
+    failed = 0
+    for gens in window:
+        mini = minimal_generators(parametrization_kernel(gens))
+        ok = is_groebner_basis(mini.generators, mini.order)[0]
+        bases.clear()
+        try:
+            free_resolution(mini)
+        except ValueError as exc:
+            gb, = bases
+            records = is_groebner_basis(gb.generators, gb.order)[1]
+            first = min(pair for pair, rec in records.items() if rec.remainder)
+            assert (ok, str(exc)) == (False, "not a Groebner basis: pair "
+                                             f"({first[0]}, {first[1]}) does not reduce to zero")
+            failed += 1
+        else:
+            assert ok
+    assert failed == 72
