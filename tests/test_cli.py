@@ -223,32 +223,6 @@ def test_duplicate_and_unsorted_input(capsys):
     assert run_json(capsys, "betti", "7", "5", "3")["betti"] == [3, 2]
 
 
-def test_parser_is_built_once_and_reused(capsys, monkeypatch):
-    # a parse error, then a valid call, then calls that rely on the defaults
-    # give the outputs of calls that each build a fresh parser
-    from monocurves import cli
-
-    calls = [("groebner", "3", "5", "7", "--order", "nope"),
-             ("groebner", "3", "5", "7", "--order", "lex", "--perm", "2,1,0",
-              "--format", "json"),
-             ("groebner", "3", "5", "7"),
-             ("resolution", "3", "5", "7", "--non-minimal"),
-             ("resolution", "3", "5", "7", "--format", "json")]
-    fresh = []
-    for argv in calls:
-        cli._parser.cache_clear()
-        fresh.append(run(capsys, *argv))
-    assert fresh[0][0] == 1 and "invalid choice" in fresh[0][2]
-    assert all(code == 0 for code, _, _ in fresh[1:])
-
-    built = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
-    cli._parser.cache_clear()
-    assert [run(capsys, *argv) for argv in calls] == fresh
-    assert len(built) == 1
-
-
 def test_exponent_limit_exit_code(capsys):
     # x0^32769 - x1^2 passes the packed exponent limit of the resolution
     code, out, err = run(capsys, "betti", "2", "32769", "--max-conductor", "70000")
