@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import heapq
-from operator import le, mul
+from functools import partial
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .orders import MonomialOrder
-from .poly import (_VARIABLE, EXPONENT_LIMIT, DivisionRecord, MonomialCodec, Polynomial,
-                   _overflow, divide, exp_add, exp_coprime, exp_divides, exp_lcm, exp_sub,
-                   s_polynomial, weighted_degree)
+from .poly import (_VARIABLE, EXPONENT_BITS, EXPONENT_LIMIT, DivisionRecord, MonomialCodec,
+                   Polynomial, _overflow, divide, exp_add, exp_coprime, exp_divides, exp_lcm,
+                   exp_sub, s_polynomial, weighted_degree)
 
 
 class ComputationLimitExceeded(RuntimeError):
@@ -263,15 +264,17 @@ def remainder_error(i: int, j: int) -> ValueError:
     return ValueError(f"not a Groebner basis: pair ({i}, {j}) does not reduce to zero")
 
 
-def _complete_with(basis: list, lead, reduce, first: int,
+def _complete_with(basis: list, lead, reduce, first: int, codec: MonomialCodec,
                    max_basis: int | None = None, bound=None) -> None:
-    """The pair queue of Buchberger's algorithm, for any representation.
+    """The one pair queue of Buchberger's algorithm, for any representation.
 
     Completes basis in place, queueing only the pairs with an element from
     index first on: basis[:first] is a Groebner basis.  lead(g) is the
-    leading exponent of an element; reduce(i, j) returns the monic
-    remainder of the S-pair (i, j) on division by basis, or None when it
-    reduces to zero.  Pairs pop by least lcm total degree, ties by index.
+    leading monomial of an element packed by codec, with total degree below
+    codec.limit; reduce(i, j, lcm) returns the monic remainder of the S-pair
+    (i, j), whose leads have the packed lcm lcm, on division by basis, or
+    None when it reduces to zero.  Pairs pop by least lcm total degree, ties
+    by index.
 
     Pairs with coprime leading monomials are never queued.  A popped pair
     (i, j) is skipped by the chain criterion when some other leading
@@ -280,24 +283,40 @@ def _complete_with(basis: list, lead, reduce, first: int,
     truncates at weighted degree D: no pair whose lcm lies above D is
     queued.  The chain criterion stays sound under it, as the pairs (i, k)
     and (j, k) it relies on have lcms dividing lcm(lead_i, lead_j).
+
+    Every test runs on the packed leads.  Two leads are coprime when their
+    supports, the guard bits of their nonzero fields, share no bit.  The
+    lcm takes the larger of each pair of fields, chosen for all fields at
+    once by one guarded subtraction.  Its total degree is the lcm modulo
+    2^bits - 1, which sums the fields; that is exact because two leads of
+    degree below codec.limit have an lcm of degree below 2^bits - 1.  The
+    chain criterion is one divisibility test per lead.
     """
-    pairs: list[tuple[int, int, int, tuple[int, ...]]] = []
+    guard, exponents = codec.guard, codec.exponents
+    top_bit = codec.bits - 1
+    ones = guard >> top_bit
+    mod = (1 << codec.bits) - 1
+    weights, top = bound if bound is not None else ((), None)
+    pairs: list[tuple[int, int, int, int]] = []
     pending: set[tuple[int, int]] = set()
     leads = [lead(g) for g in basis]
-    weights, top = bound if bound is not None else ((), None)
+    supports = [((m | guard) - ones) & guard for m in leads]
 
     def add_pairs(k):
-        lead_k = leads[k]
+        lead_k, support_k = leads[k], supports[k]
         for i in range(k):
-            if not exp_coprime(leads[i], lead_k):
-                lcm = exp_lcm(leads[i], lead_k)
-                if top is None or weighted_degree(lcm, weights) <= top:
-                    heapq.heappush(pairs, (sum(lcm), i, k, lcm))
+            if supports[i] & support_k:
+                a = leads[i]
+                ge = ((a | guard) - lead_k) & guard     # guard bits of the fields a wins
+                lcm = lead_k ^ ((a ^ lead_k) & (ge - (ge >> top_bit)))
+                if top is None or weighted_degree(exponents(lcm), weights) <= top:
+                    heapq.heappush(pairs, (lcm % mod, i, k, lcm))
                     pending.add((i, k))
 
     def chained(i, j, lcm):
+        high = lcm | guard
         for k, lead_k in enumerate(leads):
-            if (k != i and k != j and all(map(le, lead_k, lcm))
+            if ((high - lead_k) & guard == guard and k != i and k != j
                     and (min(i, k), max(i, k)) not in pending
                     and (min(j, k), max(j, k)) not in pending):
                 return True
@@ -310,7 +329,7 @@ def _complete_with(basis: list, lead, reduce, first: int,
         pending.discard((i, j))
         if chained(i, j, lcm):
             continue
-        r = reduce(i, j)
+        r = reduce(i, j, lcm)
         if r is None:
             continue
         if max_basis is not None and len(basis) >= max_basis:
@@ -318,21 +337,204 @@ def _complete_with(basis: list, lead, reduce, first: int,
                 f"Groebner basis exceeded {max_basis} elements")
         basis.append(r)
         leads.append(lead(r))
+        supports.append(((leads[-1] | guard) - ones) & guard)
         add_pairs(len(basis) - 1)
+
+
+def _widening(degree: int, attempt):
+    """attempt(bits) at the narrowest field width, EXPONENT_BITS doubled,
+    whose value bits hold degree with one bit to spare; rerun twice as wide
+    each time it raises OverflowError.  No step depends on the width, so
+    every run that ends gives the same result."""
+    bits = EXPONENT_BITS
+    while degree >= 1 << (bits - 2):
+        bits *= 2
+    while True:
+        try:
+            return attempt(bits)
+        except OverflowError:
+            bits *= 2
 
 
 def _complete(basis: list[Polynomial], order: MonomialOrder, first: int,
               max_basis: int | None = None, bound=None) -> None:
     """_complete_with on monic Polynomials: each S-polynomial is divided
     by the basis and a nonzero remainder joins it made monic."""
+    known = len(basis)
 
-    def reduce(i, j):
+    def reduce(i, j, lcm):
         s = s_polynomial(basis[i], basis[j], order)
         r = divide(s, basis, order).remainder if s else s
         return r.monic(order) if r else None
 
-    _complete_with(basis, lambda g: g.leading(order)[0], reduce, first,
-                   max_basis, bound)
+    def attempt(bits):
+        codec = MonomialCodec(order.nvars, bits)
+
+        def lead(g):
+            exp = g.leading(order)[0]
+            if sum(exp) >= codec.limit:
+                raise _overflow()
+            return codec.pack(0, exp)
+
+        del basis[known:]
+        _complete_with(basis, lead, reduce, first, codec, max_basis, bound)
+
+    _widening(max(sum(g.leading(order)[0]) for g in basis), attempt)
+
+
+# ---- the binomial engine ----------------------------------------------------
+
+def _pure_binomial(g: Polynomial) -> bool:
+    """True for c*(x^u - x^v): two terms whose coefficients cancel."""
+    return len(g.terms) == 2 and not sum(g.terms.values())
+
+
+def _normal_form(m: int, key: int, basis, guard: int):
+    """(normal form, its key) of the packed monomial m of key key: m is
+    rewritten by the first element (lead, tail, lead_key, tail_key) of basis
+    whose lead divides it, m -> m - lead + tail, until none does.
+    OverflowError when an exponent leaves its field."""
+    while True:
+        if m & guard:
+            raise _overflow()
+        high = m | guard
+        for lead, tail, lead_key, tail_key in basis:
+            if (high - lead) & guard == guard:
+                m += tail - lead
+                key += tail_key - lead_key
+                break
+        else:
+            return m, key
+
+
+def _spair_remainder(binomials: "PackedBinomials", i: int, j: int, lcm: int):
+    """The remainder of the S-pair (i, j) of binomials.basis, as a new
+    element, or None.
+
+    The S-pair of x^a - x^b and x^c - x^d is x^(L-c+d) - x^(L-a+b) with
+    L = lcm(a, c).  Dividing a monomial by a monic binomial gives a
+    monomial, so the remainder is the difference of the two normal forms,
+    oriented by key, and zero exactly when they meet.  Keys are carried
+    relative to the key of L until the remainder is known to be nonzero.
+    """
+    basis = binomials.basis
+    a, b, a_key, b_key = basis[i]
+    c, d, c_key, d_key = basis[j]
+    guard = binomials.codec.guard
+    p, p_key = _normal_form(lcm - a + b, b_key - a_key, basis, guard)
+    q, q_key = _normal_form(lcm - c + d, d_key - c_key, basis, guard)
+    if p == q:
+        return None
+    if p_key < q_key:
+        p, p_key, q, q_key = q, q_key, p, p_key
+    lead_key = binomials.lead_key(p)
+    return p, q, lead_key, lead_key - p_key + q_key
+
+
+class PackedBinomials:
+    """Monic binomials x^lead - x^tail under one order, packed at one width:
+    the binomial engine behind every toric completion.
+
+    Each element of ``basis`` is (lead, tail, lead_key, tail_key): the two
+    monomials packed by ``codec`` and their integer keys under ``order``
+    (``MonomialOrder.integer_key`` on the box below codec.limit, so a key is
+    linear and orders the monomials whose exponents stay in their fields).
+    A monomial is divided by one test and rewritten by one addition, its
+    key by another (``_normal_form``), and the pair queue of
+    ``_complete_with`` runs on the packed leads.  Every lead keeps its total
+    degree below codec.limit and every exponent stays in its field;
+    OverflowError otherwise, which ``_widening`` answers by a rerun.
+    """
+
+    __slots__ = ("order", "codec", "coeffs", "basis")
+
+    def __init__(self, order: MonomialOrder, bits: int, pairs=()):
+        self.order = order
+        self.codec = MonomialCodec(order.nvars, bits)
+        self.coeffs = order.integer_key([self.codec.limit] * order.nvars)
+        self.basis = [self.element(u, v) for u, v in pairs]
+
+    def element(self, u, v) -> tuple[int, int, int, int]:
+        """The binomial of the exponent vectors u and v, larger term first."""
+        u_key, v_key = sum(map(mul, self.coeffs, u)), sum(map(mul, self.coeffs, v))
+        if u_key < v_key:
+            u, u_key, v, v_key = v, v_key, u, u_key
+        if sum(u) >= self.codec.limit:
+            raise _overflow()
+        return self.codec.pack(0, u), self.codec.pack(0, v), u_key, v_key
+
+    def lead_key(self, m: int) -> int:
+        """The key of the packed monomial m, checked to be fit for a lead."""
+        exp = self.codec.exponents(m)
+        if sum(exp) >= self.codec.limit:
+            raise _overflow()
+        return sum(map(mul, self.coeffs, exp))
+
+    def pairs(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The elements as (lead, tail) exponent vectors."""
+        exponents = self.codec.exponents
+        return [(exponents(lead), exponents(tail)) for lead, tail, _, _ in self.basis]
+
+    def contains(self, g) -> bool:
+        """True when the element g reduces to zero: its terms' normal forms meet."""
+        lead, tail, lead_key, tail_key = g
+        guard = self.codec.guard
+        return (_normal_form(lead, lead_key, self.basis, guard)[0]
+                == _normal_form(tail, tail_key, self.basis, guard)[0])
+
+    def complete(self, first: int = 0, max_basis: int | None = None, bound=None) -> None:
+        """Complete the basis in place through the one pair queue."""
+        _complete_with(self.basis, itemgetter(0), partial(_spair_remainder, self),
+                       first, self.codec, max_basis, bound)
+
+    def reduce(self) -> None:
+        """Make the basis reduced: leads that another lead divides are
+        dropped, then each tail is brought to normal form against the others
+        in turn.  Reduction never moves a leading monomial, so an element
+        stays reduced when the others are reduced after it."""
+        guard = self.codec.guard
+        kept: list = []
+        for g in sorted(self.basis, key=itemgetter(2)):
+            high = g[0] | guard
+            if not any((high - h[0]) & guard == guard for h in kept):
+                kept.append(g)
+        for i, (lead, tail, lead_key, tail_key) in enumerate(kept):
+            tail, tail_key = _normal_form(tail, tail_key, kept[:i] + kept[i + 1:], guard)
+            kept[i] = (lead, tail, lead_key, tail_key)
+        self.basis = kept
+
+    def saturate(self, i: int) -> None:
+        """Divide x_i out of every element: both terms lose the smaller of
+        their two powers of it, which keeps the lead leading."""
+        shift, mask, c = i * self.codec.bits, self.codec.limit - 1, self.coeffs[i]
+        out = []
+        for lead, tail, lead_key, tail_key in self.basis:
+            k = min((lead >> shift) & mask, (tail >> shift) & mask)
+            out.append((lead - (k << shift), tail - (k << shift),
+                        lead_key - k * c, tail_key - k * c))
+        self.basis = out
+
+
+def binomial_run(pairs, order: MonomialOrder, run):
+    """run(PackedBinomials(order, bits, pairs)) under ``_widening``, the
+    width chosen from the largest total degree among the pairs' terms."""
+    return _widening(max((sum(m) for pair in pairs for m in pair), default=0),
+                     lambda bits: run(PackedBinomials(order, bits, pairs)))
+
+
+def _completed(max_basis, binomials: PackedBinomials):
+    binomials.complete(max_basis=max_basis)
+    return binomials.pairs()
+
+
+def _reduced(binomials: PackedBinomials):
+    binomials.reduce()
+    return binomials.pairs()
+
+
+def binomial_polynomials(variables, pairs) -> list[Polynomial]:
+    """The monic binomials x^lead - x^tail of (lead, tail) exponent pairs."""
+    return [Polynomial._raw(variables, {lead: 1, tail: -1}) for lead, tail in pairs]
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
@@ -346,6 +548,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
     monomials are skipped: their S-polynomial always reduces to zero.  So
     is a pair (i, j) whose lcm another leading monomial lead_k divides once
     neither (i, k) nor (j, k) is still queued: Buchberger's chain criterion.
+    When every generator is a pure binomial c*(x^u - x^v) the completion
+    runs on the binomial engine, ``PackedBinomials``; it takes the steps of
+    the ``Polynomial`` loop that any other input runs.
     """
     gens = list(gens)
     if not gens:
@@ -355,7 +560,12 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
     if any(g.variables != gens[0].variables for g in gens):
         raise ValueError("generators live in different ambients")
     basis = [g.monic(order) for g in gens]
-    _complete(basis, order, 0, max_basis)
+    if all(map(_pure_binomial, basis)):
+        done = binomial_run([tuple(g.terms) for g in basis], order,
+                            partial(_completed, max_basis))
+        basis += binomial_polynomials(gens[0].variables, done[len(basis):])
+    else:
+        _complete(basis, order, 0, max_basis)
     return GroebnerBasis(basis, order)
 
 
@@ -374,10 +584,17 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 
 def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
-    """The reduced Groebner basis: monic, auto-reduced, sorted, unique."""
+    """The reduced Groebner basis: monic, auto-reduced, sorted, unique.
+
+    A basis of pure binomials is reduced by the binomial engine, with the
+    steps of the ``Polynomial`` pass that any other basis runs.
+    """
     order = gb.order
     if not gb.generators:
         return gb
+    if all(map(_pure_binomial, gb.generators)):
+        done = binomial_run([tuple(g.terms) for g in gb.generators], order, _reduced)
+        return GroebnerBasis(binomial_polynomials(gb.generators[0].variables, done), order)
     # drop generators whose leading monomial another one divides
     kept: list[Polynomial] = []
     for g in sorted(gb.generators, key=lambda g: order.key(g.leading(order)[0])):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-_KINDS = ("lex", "grlex", "grevlex", "weighted", "elim")
+_KINDS = ("lex", "grlex", "grevlex", "weighted")
 
 
 @dataclass(frozen=True)
@@ -19,8 +19,6 @@ class MonomialOrder:
       grlex     total degree first, ties lex along perm
       grevlex   total degree first, ties reverse-lex
       weighted  weighted degree first (positive weights), ties reverse-lex
-      elim      block order: lex on the first ``elim`` entries of perm,
-                then weighted grevlex on the remaining block
 
     Every kind is a total order with 1 as the least monomial and is
     compatible with multiplication, which is what division and Buchberger
@@ -32,7 +30,6 @@ class MonomialOrder:
     nvars: int
     perm: tuple[int, ...]
     weights: tuple[int, ...] | None = None
-    elim: int = 0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -48,8 +45,6 @@ class MonomialOrder:
                 raise ValueError("weights must be positive")
         if self.kind == "weighted" and self.weights is None:
             raise ValueError("weighted order needs weights")
-        if self.kind == "elim" and not 0 < self.elim < self.nvars:
-            raise ValueError("elim block must be a proper nonempty prefix")
         object.__setattr__(self, "key", self._build_key())
 
     # ---- constructors -------------------------------------------------
@@ -73,13 +68,6 @@ class MonomialOrder:
         n = len(weights)
         return cls("weighted", n, tuple(perm) if perm else tuple(range(n)), weights)
 
-    @classmethod
-    def elimination(cls, nvars: int, elim: int = 1, weights=None,
-                    perm: tuple[int, ...] | None = None) -> "MonomialOrder":
-        """Block order eliminating the first ``elim`` variables of perm."""
-        return cls("elim", nvars, tuple(perm) if perm else tuple(range(nvars)),
-                   tuple(weights) if weights is not None else None, elim)
-
     # ---- key function -------------------------------------------------
 
     def _build_key(self):
@@ -91,17 +79,9 @@ class MonomialOrder:
         if self.kind == "grevlex":
             rev = tuple(reversed(perm))
             return lambda u: (sum(u), *(-u[i] for i in rev))
-        if self.kind == "weighted":
-            w = self.weights
-            rev = tuple(reversed(perm))
-            return lambda u: (sum(u[i] * wi for i, wi in enumerate(w)),
-                              *(-u[i] for i in rev))
-        head = perm[:self.elim]
-        tail = perm[self.elim:]
-        tw = tuple((i, self.weights[i] if self.weights else 1) for i in tail)
-        rev = tuple(reversed(tail))
-        return lambda u: (*(u[i] for i in head),
-                          sum(u[i] * wi for i, wi in tw),
+        w = self.weights
+        rev = tuple(reversed(perm))
+        return lambda u: (sum(u[i] * wi for i, wi in enumerate(w)),
                           *(-u[i] for i in rev))
 
     def _linear_forms(self) -> list[tuple[int, ...]]:
@@ -118,13 +98,7 @@ class MonomialOrder:
             return [(1,) * n] + [unit(i) for i in perm]
         if self.kind == "grevlex":
             return [(1,) * n] + [unit(i, -1) for i in rev]
-        if self.kind == "weighted":
-            return [self.weights] + [unit(i, -1) for i in rev]
-        head, tail = perm[:self.elim], perm[self.elim:]
-        tw = tuple((self.weights[i] if self.weights else 1) if i in tail else 0
-                   for i in range(n))
-        return ([unit(i) for i in head] + [tw]
-                + [unit(i, -1) for i in reversed(tail)])
+        return [self.weights] + [unit(i, -1) for i in rev]
 
     def integer_key(self, bounds) -> tuple[int, ...]:
         """Coefficients c of the integer key sum(c[i] * u[i]), which orders

@@ -49,36 +49,47 @@ EXPONENT_LIMIT = 1 << (EXPONENT_BITS - 1)    # packed exponents stay below this
 class MonomialCodec:
     """Module monomials (pos, u) over nvars variables, each packed in one int.
 
-    Exponent u[i] fills the field of bits i*EXPONENT_BITS and up: a value
-    below EXPONENT_LIMIT topped by a guard bit.  pos sits above the fields.
-    Multiplying by a ring monomial is one integer addition: two fields in
-    range sum below twice the limit, so no carry crosses a field, and the sum
-    is in range exactly when it sets no guard bit.  (pos, d) divides (pos, m)
-    exactly when ((m | guard) - d) & guard == guard: a field where d exceeds
-    m borrows its guard bit, and no borrow crosses a field.
+    Exponent u[i] fills the field of bits i*bits and up: a value below
+    ``limit`` = 2^(bits-1) topped by a guard bit.  pos sits above the
+    fields.  Multiplying by a ring monomial is one integer addition: two
+    fields in range sum below twice the limit, so no carry crosses a field,
+    and the sum is in range exactly when it sets no guard bit.  (pos, d)
+    divides (pos, m) exactly when ((m | guard) - d) & guard == guard: a field
+    where d exceeds m borrows its guard bit, and no borrow crosses a field.
+    The resolution packs at EXPONENT_BITS; the binomial engine of
+    ``groebner`` picks a width per completion.
     """
 
-    __slots__ = ("shift", "guard", "fields", "_offsets", "_struct")
+    __slots__ = ("bits", "limit", "shift", "guard", "fields", "_offsets", "_struct")
 
-    def __init__(self, nvars: int):
-        self._struct = struct.Struct(f"<{nvars}H")    # "H": EXPONENT_BITS = 16
-        self._offsets = tuple(range(0, nvars * EXPONENT_BITS, EXPONENT_BITS))
-        self.shift = nvars * EXPONENT_BITS
+    def __init__(self, nvars: int, bits: int = EXPONENT_BITS):
+        fmt = _FIELD_FORMATS.get(bits)
+        self._struct = struct.Struct(f"<{nvars}{fmt}") if fmt else None
+        self._offsets = tuple(range(0, nvars * bits, bits))
+        self.bits, self.limit = bits, 1 << (bits - 1)
+        self.shift = nvars * bits
         self.fields = (1 << self.shift) - 1
-        self.guard = sum(EXPONENT_LIMIT << s for s in self._offsets)
+        self.guard = sum(self.limit << s for s in self._offsets)
 
     def pack(self, pos: int, exp) -> int:
         """The int of (pos, exp); OverflowError for an exponent out of range."""
-        if exp and max(exp) >= EXPONENT_LIMIT:
+        if exp and max(exp) >= self.limit:
             raise _overflow()
         return sum(map(lshift, exp, self._offsets), pos << self.shift)
 
     def exponents(self, m: int) -> tuple:
         """The exponent vector of a packed monomial, its position dropped."""
+        if self._struct is None:
+            mask = (1 << self.bits) - 1
+            return tuple((m >> s) & mask for s in self._offsets)
         return self._struct.unpack((m & self.fields).to_bytes(self._struct.size, "little"))
 
     def unpack(self, m: int):
         return m >> self.shift, self.exponents(m)
+
+
+# struct codes of the field widths that have one
+_FIELD_FORMATS = {16: "H", 32: "I", 64: "Q"}
 
 
 def _overflow() -> OverflowError:

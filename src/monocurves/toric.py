@@ -5,13 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 from math import gcd
-from operator import add, itemgetter, le, sub
 from typing import Sequence
 
-from .groebner import GroebnerBasis, _complete, _complete_with
+from .groebner import (GroebnerBasis, PackedBinomials, _complete, _pure_binomial,
+                       binomial_polynomials, binomial_run)
 from .orders import MonomialOrder
-from .poly import (Polynomial, _check_variables, divide, exp_add, exp_lcm,
-                   exp_sub)
+from .poly import Polynomial, _check_variables, divide, weighted_degree
 from .semigroup import NumericalSemigroup
 
 
@@ -80,43 +79,6 @@ def _lattice_basis(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [tuple(cols[j]) for j in range(n) if j != live[0]]
 
 
-def _normal_form(m: tuple[int, ...], basis) -> tuple[int, ...]:
-    """Rewrite the monomial m by the first binomial (lead, tail) of basis
-    whose lead divides it, x^m -> x^(m - lead + tail), until none does."""
-    while True:
-        for lead, tail in basis:
-            if all(map(le, lead, m)):
-                m = tuple(map(add, map(sub, m, lead), tail))
-                break
-        else:
-            return m
-
-
-def _spair_remainder(basis, key, i: int, j: int):
-    """The S-pair of x^a - x^b and x^c - x^d is x^(L-c+d) - x^(L-a+b) with
-    L = lcm(a, c); its remainder on division by the monic binomials of basis
-    is the difference of the two normal forms, oriented by key, or None."""
-    (a, b), (c, d) = basis[i], basis[j]
-    lcm = exp_lcm(a, c)
-    p = _normal_form(exp_add(exp_sub(lcm, a), b), basis)
-    q = _normal_form(exp_add(exp_sub(lcm, c), d), basis)
-    if p == q:
-        return None
-    return (p, q) if key(p) > key(q) else (q, p)
-
-
-def _reduced(basis, key) -> list:
-    """The reduced basis: leads that another lead divides are dropped, then
-    each tail is brought to normal form against the others in turn."""
-    kept = []
-    for g in sorted(basis, key=lambda g: key(g[0])):
-        if not any(all(map(le, h[0], g[0])) for h in kept):
-            kept.append(g)
-    for i, (lead, tail) in enumerate(kept):
-        kept[i] = (lead, _normal_form(tail, kept[:i] + kept[i + 1:]))
-    return kept
-
-
 def parametrization_kernel(exponents: Sequence[int],
                            variables: Sequence[str] | None = None, *,
                            max_basis: int | None = None) -> GradedIdealPresentation:
@@ -134,13 +96,11 @@ def parametrization_kernel(exponents: Sequence[int],
     completion already runs under the output order.  max_basis bounds
     every intermediate basis (ComputationLimitExceeded).
 
-    Every ideal on the way is binomial, so the loop holds each monic
-    binomial x^lead - x^tail as the exponent pair (lead, tail) and runs the
-    pair queue of ``_complete_with`` on it: dividing a monomial by a monic
-    binomial gives a monomial, so the remainder of x^p - x^q is the
-    difference of the two first-match normal forms, zero exactly when they
-    meet.  The steps, the intermediate bases and the output are those of the
-    same loop on Polynomials; the pairs become Polynomials once, at the end.
+    Every ideal on the way is binomial, so each step runs on the binomial
+    engine of ``groebner`` (``PackedBinomials``): one completion through
+    the shared pair queue, the saturation and the reduction, with the steps,
+    the intermediate bases and the output of the same loop on Polynomials.
+    The pairs become Polynomials once, at the end.
     """
     exponents = tuple(exponents)
     if not exponents or any(not isinstance(n, int) or n < 1 for n in exponents):
@@ -157,26 +117,24 @@ def parametrization_kernel(exponents: Sequence[int],
         if len(variables) != len(exponents):
             raise ValueError("one variable per exponent")
         _check_variables(variables)
-    basis = [(tuple(max(a, 0) for a in v), tuple(max(-a, 0) for a in v))
+    pairs = [(tuple(max(a, 0) for a in v), tuple(max(-a, 0) for a in v))
              for v in _lattice_basis(exponents)]
     nvars = len(exponents)
     order = MonomialOrder.weighted(exponents)
     for i in range(nvars):
         step = order if i == nvars - 1 else MonomialOrder.weighted(
             exponents, tuple(j for j in range(nvars) if j != i) + (i,))
-        key = step.key
-        basis = [(u, v) if key(u) > key(v) else (v, u) for u, v in basis]
-        _complete_with(basis, itemgetter(0), partial(_spair_remainder, basis, key),
-                       0, max_basis)
-        saturated = []
-        for u, v in basis:
-            k = min(u[i], v[i])
-            saturated.append((u[:i] + (u[i] - k,) + u[i + 1:],
-                              v[:i] + (v[i] - k,) + v[i + 1:]))
-        basis = _reduced(saturated, key)
-    return GradedIdealPresentation(
-        variables, exponents, order,
-        tuple(Polynomial._raw(variables, {u: 1, v: -1}) for u, v in basis))
+        pairs = binomial_run(pairs, step, partial(_saturation_step, i, max_basis))
+    return GradedIdealPresentation(variables, exponents, order,
+                                   tuple(binomial_polynomials(variables, pairs)))
+
+
+def _saturation_step(i: int, max_basis, binomials: PackedBinomials):
+    """Complete, divide x_i out, reduce: the reduced basis of the saturation by x_i."""
+    binomials.complete(max_basis=max_basis)
+    binomials.saturate(i)
+    binomials.reduce()
+    return binomials.pairs()
 
 
 def defining_ideal(curve: MonomialCurve, *,
@@ -204,21 +162,51 @@ def minimal_generators(pres: GradedIdealPresentation) -> GradedIdealPresentation
     ordered = sorted(pres.generators,
                      key=lambda g: (g.weighted_degree(weights), g.sort_key()))
     bound = (weights, max((g.weighted_degree(weights) for g in ordered), default=0))
-    retained: list[Polynomial] = []
-    basis: list[Polynomial] = []
-    for g in ordered:
-        if basis and not divide(g, basis, order).remainder:
-            continue
-        retained.append(g)
-        basis.append(g.monic(order))
-        _complete(basis, order, len(basis) - 1, bound=bound)
+    if all(map(_pure_binomial, ordered)):
+        kept = binomial_run([tuple(g.terms) for g in ordered], order,
+                            partial(_binomial_scan, bound))
+        retained = [ordered[k] for k in kept]
+    else:
+        retained = []
+        basis: list[Polynomial] = []
+        for g in ordered:
+            if basis and not divide(g, basis, order).remainder:
+                continue
+            retained.append(g)
+            basis.append(g.monic(order))
+            _complete(basis, order, len(basis) - 1, bound=bound)
     return replace(pres, generators=tuple(retained), beta1=len(retained))
+
+
+def _binomial_scan(bound, binomials: PackedBinomials) -> list[int]:
+    """The greedy scan of ``minimal_generators`` on the binomial engine:
+    the indices of the elements it keeps, the basis grown along the scan."""
+    candidates, binomials.basis = binomials.basis, []
+    kept = []
+    for k, g in enumerate(candidates):
+        if binomials.basis and binomials.contains(g):
+            continue
+        kept.append(k)
+        binomials.basis.append(g)
+        binomials.complete(len(binomials.basis) - 1, bound=bound)
+    return kept
 
 
 def eta_check(pres: GradedIdealPresentation,
               exponents: Sequence[int] | None = None) -> bool:
-    """True iff every generator vanishes under x_i -> t^(exponents[i])."""
+    """True iff every generator vanishes under x_i -> t^(exponents[i]).
+
+    A term c*x^u maps to c*t^(u . exponents), so a generator vanishes
+    exactly when, in each weighted degree, its coefficients sum to zero.
+    """
     exponents = tuple(exponents) if exponents is not None else pres.weights
-    target = ("t",)
-    images = [Polynomial.monomial(target, (e,)) for e in exponents]
-    return all(not g.substitute(images) for g in pres.generators)
+    if pres.generators and len(exponents) != len(pres.variables):
+        raise ValueError("need one image per variable")
+    for g in pres.generators:
+        sums: dict[int, int] = {}
+        for exp, c in g.terms.items():
+            d = weighted_degree(exp, exponents)
+            sums[d] = sums.get(d, 0) + c
+        if any(sums.values()):
+            return False
+    return True

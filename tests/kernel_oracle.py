@@ -1,4 +1,4 @@
-"""Two test oracles for the toric kernel.
+"""Test oracles for the toric kernel and the binomial engine.
 
 ``elimination_kernel``: start from the relations x_i - t^(n_i) under a
 block order putting t first; the t-free part of the completed basis is a
@@ -7,10 +7,16 @@ n_i.  Slow, but independent of the lattice computation in
 ``parametrization_kernel``.
 
 ``polynomial_kernel``: the lattice loop of ``parametrization_kernel`` run on
-``Polynomial`` objects, with S-polynomials, ``divide`` and ``reduce_basis``
-and its own copy of the pair queue.  It takes the same steps as the
-exponent-pair engine, so it gives the same bases and the same
+``Polynomial`` objects, with S-polynomials and ``divide``.  It takes the
+same steps as the binomial engine, so it gives the same bases and the same
 ``max_basis`` outcomes.
+
+``restart_minimal_generators``: the greedy scan of ``minimal_generators``
+with the completion rerun from scratch after each generator it keeps.
+
+All of them complete and reduce by their own ``Polynomial`` loops,
+``polynomial_complete`` and ``polynomial_reduce``, never by ``buchberger``
+or ``reduce_basis``: on binomial input those run the engine they check.
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ from __future__ import annotations
 import heapq
 from operator import le
 
-from monocurves import (ComputationLimitExceeded, GroebnerBasis, MonomialOrder,
-                        Polynomial, buchberger, reduce_basis)
-from monocurves.poly import divide, exp_coprime, exp_lcm, s_polynomial
+from elimination_order import elimination
+
+from monocurves import ComputationLimitExceeded, MonomialOrder, Polynomial
+from monocurves.poly import divide, exp_coprime, exp_divides, exp_lcm, s_polynomial
 from monocurves.toric import _lattice_basis
 
 
@@ -34,7 +41,7 @@ def elimination_relations(exponents):
 
 
 def elimination_order(exponents):
-    return MonomialOrder.elimination(len(exponents) + 1, 1, weights=(1,) + tuple(exponents))
+    return elimination(len(exponents) + 1, 1, weights=(1,) + tuple(exponents))
 
 
 def elimination_kernel(exponents, variables=None):
@@ -42,14 +49,14 @@ def elimination_kernel(exponents, variables=None):
     exponents = tuple(exponents)
     if variables is None:
         variables = tuple(f"x{i}" for i in range(len(exponents)))
-    full = buchberger(elimination_relations(exponents), elimination_order(exponents))
+    elim = elimination_order(exponents)
+    full = [g.monic(elim) for g in elimination_relations(exponents)]
+    polynomial_complete(full, elim)
     order = MonomialOrder.weighted(exponents)
     kept = [Polynomial._raw(tuple(variables),
                             {exp[1:]: c for exp, c in g.terms.items()})
-            for g in full.generators if all(exp[0] == 0 for exp in g.terms)]
-    if kept:
-        kept = list(reduce_basis(GroebnerBasis(kept, order)).generators)
-    return tuple(kept), order
+            for g in full if all(exp[0] == 0 for exp in g.terms)]
+    return tuple(polynomial_reduce(kept, order)), order
 
 
 def polynomial_complete(basis, order, max_basis=None):
@@ -96,6 +103,22 @@ def polynomial_complete(basis, order, max_basis=None):
         add_pairs(len(basis) - 1)
 
 
+def polynomial_reduce(basis, order):
+    """The reduced basis of a Groebner basis, as a list: leads that another
+    lead divides are dropped, then each element is divided by the others in
+    turn and made monic."""
+    kept = []
+    for g in sorted((g.monic(order) for g in basis),
+                    key=lambda g: order.key(g.leading(order)[0])):
+        if not any(exp_divides(h.leading(order)[0], g.leading(order)[0]) for h in kept):
+            kept.append(g)
+    for i in range(len(kept)):
+        others = kept[:i] + kept[i + 1:]
+        if others:
+            kept[i] = divide(kept[i], others, order).remainder.monic(order)
+    return kept
+
+
 def saturate(basis, i):
     """Divide each binomial by the largest power of x_i dividing both terms."""
     out = []
@@ -125,5 +148,22 @@ def polynomial_kernel(exponents, variables=None, max_basis=None):
             exponents, tuple(j for j in range(nvars) if j != i) + (i,))
         basis = [b.monic(step) for b in basis]
         polynomial_complete(basis, step, max_basis)
-        basis = list(reduce_basis(GroebnerBasis(saturate(basis, i), step)).generators)
+        basis = polynomial_reduce(saturate(basis, i), step)
     return tuple(basis), order
+
+
+def restart_minimal_generators(pres):
+    """The greedy scan with the Polynomial loop of the oracle rerun from
+    scratch on the retained generators after each one it keeps: the oracle
+    for the growing basis (buchberger would run the engine under test)."""
+    weights, order = pres.weights, pres.order
+    ordered = sorted(pres.generators,
+                     key=lambda g: (g.weighted_degree(weights), g.sort_key()))
+    retained, basis = [], None
+    for g in ordered:
+        if basis is not None and not divide(g, basis, order).remainder:
+            continue
+        retained.append(g)
+        basis = [h.monic(order) for h in retained]
+        polynomial_complete(basis, order)
+    return tuple(retained)

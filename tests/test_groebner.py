@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from kernel_oracle import elimination_order, elimination_relations
+from kernel_oracle import elimination_order, elimination_relations, polynomial_complete
 
 import monocurves.groebner as groebner_module
 from monocurves import (ComputationLimitExceeded, GroebnerBasis,
@@ -150,20 +150,31 @@ def test_records_divide_like_ring_division(gens, remainders):
 def chain_skipped(gens, order, **kwargs):
     """buchberger's basis and the pairs its chain criterion skipped: every
     pair with non-coprime leading monomials is queued, so these are the
-    ones whose S-polynomial was never formed."""
+    ones whose S-pair was never formed, by s_polynomial on the Polynomial
+    path or by the binomial engine on pure binomials."""
     formed = set()
+    engine_pairs = set()
 
     def recording(f, g, o):
         formed.add((id(f), id(g)))
         return s_polynomial(f, g, o)
 
+    def engine_recording(binomials, i, j, lcm):
+        engine_pairs.add((i, j))
+        return spair_remainder(binomials, i, j, lcm)
+
+    spair_remainder = groebner_module._spair_remainder
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner_module, "s_polynomial", recording)
+        mp.setattr(groebner_module, "_spair_remainder", engine_recording)
         gb = buchberger(gens, order, **kwargs)
+    assert not (formed and engine_pairs)
     leads = gb.leading_exponents
+    # the coprime criterion: no such pair is formed
+    assert not any(exp_coprime(leads[i], leads[j]) for i, j in engine_pairs)
     return gb, [(i, j) for i in range(len(gb)) for j in range(i + 1, len(gb))
                 if not exp_coprime(leads[i], leads[j])
-                and (id(gb[i]), id(gb[j])) not in formed]
+                and (id(gb[i]), id(gb[j])) not in formed and (i, j) not in engine_pairs]
 
 
 def reduces_to_zero(gb, i, j):
@@ -196,11 +207,15 @@ def test_criterion_sound_on_random_ideals():
 def test_binomial_closure_during_elimination():
     # completing the parametrization relations of the elimination oracle
     # only ever produces pure-difference binomials
+    # (the Polynomial loop of the oracle: buchberger would run the binomial
+    # engine, which holds binomials only)
     exponents = (3, 5, 7)
+    order = elimination_order(exponents)
     gens = elimination_relations(exponents)
-    gb = buchberger(gens, elimination_order(exponents))
-    assert len(gb.generators) > len(gens)
-    for g in gb.generators:
+    basis = [g.monic(order) for g in gens]
+    polynomial_complete(basis, order)
+    assert len(basis) > len(gens)
+    for g in basis:
         assert sorted(g.terms.values()) == [-1, 1]
 
 

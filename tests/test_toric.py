@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_oracle import elimination_kernel, polynomial_kernel
+from kernel_oracle import elimination_kernel, polynomial_kernel, restart_minimal_generators
 
 import monocurves.groebner as groebner_module
 from monocurves import (ComputationLimitExceeded, GradedIdealPresentation,
@@ -248,21 +248,6 @@ def test_kernel_matches_polynomial_oracle_wide():
         assert_matches_polynomial_oracle(inst.n, inst.variables)
 
 
-def restart_minimal_generators(pres):
-    """The greedy scan with Buchberger rerun from scratch on the retained
-    generators after each one it keeps: the oracle for the growing basis."""
-    weights = pres.weights
-    ordered = sorted(pres.generators,
-                     key=lambda g: (g.weighted_degree(weights), g.sort_key()))
-    retained, gb = [], None
-    for g in ordered:
-        if gb is not None and not gb.normal_form(g):
-            continue
-        retained.append(g)
-        gb = buchberger(retained, pres.order)
-    return tuple(retained)
-
-
 def test_minimal_generators_match_restart_oracle():
     curves = minimal_triples(15)
     curves += [(5, 7, 9, 11), (12, 15, 20, 23), (4, 5, 6, 7), (5, 6, 7, 8, 9)]
@@ -275,15 +260,17 @@ def test_minimal_generators_match_restart_oracle():
 
 
 def test_minimal_generators_forms_each_pair_once(monkeypatch):
-    # the basis grows: no S-pair of earlier generators is reduced again
+    # the basis grows: no S-pair of earlier generators is reduced again;
+    # the generators are binomials, so the engine forms every S-pair
     formed = []
-    s_polynomial = groebner_module.s_polynomial
+    spair_remainder = groebner_module._spair_remainder
 
-    def recording(f, g, order):
-        formed.append(tuple(sorted((f.sort_key(), g.sort_key()))))
-        return s_polynomial(f, g, order)
+    def recording(binomials, i, j, lcm):
+        basis = binomials.basis
+        formed.append(tuple(sorted((basis[i][:2], basis[j][:2]))))
+        return spair_remainder(binomials, i, j, lcm)
 
-    monkeypatch.setattr(groebner_module, "s_polynomial", recording)
+    monkeypatch.setattr(groebner_module, "_spair_remainder", recording)
     for gens in [(5, 7, 9, 11), (12, 15, 20, 23), (5, 6, 7, 8, 9)]:
         pres = parametrization_kernel(gens)
         formed.clear()
