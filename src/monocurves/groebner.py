@@ -436,7 +436,7 @@ class PackedBinomials:
     the binomial engine behind every toric completion.
 
     Each element of ``basis`` is (lead, tail, lead_key, tail_key): the two
-    monomials packed by ``codec`` and their integer keys under ``order``
+    monomials packed by ``codec`` and their integer keys under the order
     (``MonomialOrder.integer_key`` on the box below codec.limit, so a key is
     linear and orders the monomials whose exponents stay in their fields).
     A monomial is divided by one test and rewritten by one addition, its
@@ -446,10 +446,9 @@ class PackedBinomials:
     OverflowError otherwise, which ``_widening`` answers by a rerun.
     """
 
-    __slots__ = ("order", "codec", "coeffs", "basis")
+    __slots__ = ("codec", "coeffs", "basis")
 
     def __init__(self, order: MonomialOrder, bits: int, pairs=()):
-        self.order = order
         self.codec = MonomialCodec(order.nvars, bits)
         self.coeffs = order.integer_key([self.codec.limit] * order.nvars)
         self.basis = [self.element(u, v) for u, v in pairs]
