@@ -9,7 +9,7 @@ from kernel_oracle import elimination_kernel, polynomial_kernel, restart_minimal
 
 import monocurves.groebner as groebner_module
 from monocurves import (ComputationLimitExceeded, GradedIdealPresentation,
-                        Polynomial, bresinsky_sequence, buchberger,
+                        Polynomial, bresinsky_sequence,
                         defining_ideal, eta_check, minimal_generators,
                         monomial_curve, new_semigroup, parametrization_kernel,
                         parse_polynomial)
