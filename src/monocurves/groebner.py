@@ -8,9 +8,11 @@ from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .orders import MonomialOrder
-from .poly import (_VARIABLE, EXPONENT_BITS, EXPONENT_LIMIT, DivisionRecord, MonomialCodec,
-                   Polynomial, _overflow, divide, exp_add, exp_coprime, exp_divides, exp_lcm,
-                   exp_sub, s_polynomial, weighted_degree)
+from .poly import (_VARIABLE, DivisionRecord, MonomialCodec, Polynomial, _overflow, divide,
+                   exp_add, exp_coprime, exp_divides, exp_lcm, exp_sub, s_polynomial,
+                   weighted_degree)
+
+EXPONENT_BITS = 16      # the narrowest field width ``_widening`` tries
 
 
 class ComputationLimitExceeded(RuntimeError):
@@ -27,6 +29,8 @@ class SchreyerOrder:
     leading monomials leads[k] = (pos, exp): (k, u) ranks as (pos, u * exp)
     does one level down, ties going to the smaller k.  With this order the
     Schreyer generators of the syzygy module are already a Groebner basis.
+    ``codec`` packs the monomials of the level ordered; ``next`` passes it
+    on.
 
     Unwound to level 0, position k carries the offset off[k], the product
     of the leading monomials along its chain of positions p0 = 0, p1, ...,
@@ -38,25 +42,25 @@ class SchreyerOrder:
 
     so the module monomial with the larger key is the larger one, and
     multiplying by a ring monomial v adds ``step(v)`` = R * K(v).  K is
-    exact on every u + off[k] with u below twice EXPONENT_LIMIT: any sum of
+    exact on every u + off[k] with u below twice codec.limit: any sum of
     two packed exponent vectors, before its guard bits are checked.
     """
 
-    __slots__ = ("ring_order", "offsets", "tierank", "rank", "steps", "bases")
+    __slots__ = ("ring_order", "codec", "offsets", "tierank", "rank", "steps", "bases")
 
-    def __init__(self, ring_order: MonomialOrder, offsets, tierank):
-        self.ring_order = ring_order
+    def __init__(self, ring_order: MonomialOrder, codec: MonomialCodec, offsets, tierank):
+        self.ring_order, self.codec = ring_order, codec
         self.offsets = tuple(offsets)
         self.tierank = tuple(tierank)
         self.rank = len(self.offsets)
         # R * K, one coefficient per variable
         self.steps = tuple(self.rank * c for c in ring_order.integer_key(
-            [2 * EXPONENT_LIMIT + max(col) for col in zip(*self.offsets)]))
+            [2 * codec.limit + max(col) for col in zip(*self.offsets)]))
         self.bases = tuple(self.step(off) + t for off, t in zip(self.offsets, self.tierank))
 
     @classmethod
-    def rank_one(cls, ring_order: MonomialOrder) -> "SchreyerOrder":
-        return cls(ring_order, [(0,) * ring_order.nvars], [0])
+    def rank_one(cls, ring_order: MonomialOrder, codec: MonomialCodec) -> "SchreyerOrder":
+        return cls(ring_order, codec, [(0,) * ring_order.nvars], [0])
 
     def next(self, leads) -> "SchreyerOrder":
         """The order on the syzygies of elements with leading monomials leads."""
@@ -64,7 +68,7 @@ class SchreyerOrder:
         tierank = [0] * len(leads)
         for rank, k in enumerate(chains):
             tierank[k] = rank
-        return SchreyerOrder(self.ring_order,
+        return SchreyerOrder(self.ring_order, self.codec,
                              [exp_add(exp, self.offsets[pos]) for pos, exp in leads],
                              tierank)
 
@@ -79,15 +83,16 @@ class SchreyerOrder:
 class PackedLevel:
     """The monic elements of one level as packed terms, and their S-pairs.
 
-    elements[k] lists the terms (m, key, c) of element k, m packed by codec
-    and key its ``order`` key; tails[k] leaves out the leading monomial
-    leads[k] = (pos, exp).  divisors[pos] lists, by index, (k << shift, m,
-    key, tail) of the elements k that lead at pos.
+    elements[k] lists the terms (m, key, c) of element k, m packed by the
+    order's codec and key its ``order`` key; tails[k] leaves out the leading
+    monomial leads[k] = (pos, exp).  divisors[pos] lists, by index,
+    (k << shift, m, key, tail) of the elements k that lead at pos.
     """
 
     __slots__ = ("codec", "order", "elements", "tails", "leads", "divisors")
 
-    def __init__(self, codec: MonomialCodec, order: SchreyerOrder, term_maps, leads):
+    def __init__(self, order: SchreyerOrder, term_maps, leads):
+        codec = order.codec
         shift, exponents, step, bases = codec.shift, codec.exponents, order.step, order.bases
         self.codec, self.order, self.leads = codec, order, list(leads)
         self.elements = [[(m, step(exponents(m)) + bases[m >> shift], c) for m, c in t.items()]
@@ -175,10 +180,11 @@ class GroebnerBasis:
     generators packed as a level of R^1, the division the Schreyer
     resolution runs on every level: the closed form
     -(g - Lm g)*f + (f - Lm f)*g for a pair with coprime leading monomials,
-    division against the basis for any other.  ``transcript`` (and its
-    term-map form ``transcript_terms``) raises ValueError for a pair that
-    leaves a remainder; ``is_groebner_basis`` reports such records instead.
-    Exponents must stay below ``poly.EXPONENT_LIMIT`` (OverflowError).
+    division against the basis for any other.  ``transcript`` raises
+    ValueError for a pair that leaves a remainder; ``is_groebner_basis``
+    reports such records instead.  The level's width is chosen by
+    ``_widening`` and doubled whenever a division leaves it, so any exponent
+    is taken; the widest level built is kept.
     """
 
     def __init__(self, generators: Iterable[Polynomial], order: MonomialOrder):
@@ -210,50 +216,49 @@ class GroebnerBasis:
     def contains(self, f: Polynomial) -> bool:
         return not self.normal_form(f)
 
-    def _packed(self) -> PackedLevel:
-        """The generators as a packed level of R^1, built on first use."""
-        if self._level is None:
-            codec = MonomialCodec(self.order.nvars)
-            self._level = PackedLevel(
-                codec, SchreyerOrder.rank_one(self.order),
-                [{codec.pack(0, exp): c for exp, c in g.terms.items()} for g in self.generators],
-                [(0, exp) for exp in self.leading_exponents])
-        return self._level
+    def _on_level(self, run):
+        """run(level) on the generators packed as a level of R^1 under
+        ``_widening``, from EXPONENT_BITS up; a level at least as wide as
+        the attempt is reused."""
+        def attempt(bits):
+            if self._level is None or self._level.codec.bits < bits:
+                codec = MonomialCodec(self.order.nvars, bits)
+                self._level = PackedLevel(
+                    SchreyerOrder.rank_one(self.order, codec),
+                    [{codec.pack(0, exp): c for exp, c in g.terms.items()}
+                     for g in self.generators],
+                    [(0, exp) for exp in self.leading_exponents])
+            return run(self._level)
 
-    def _spair_division(self, i: int, j: int):
-        """(quotients {(k, exp): c}, remainder {(0, exp): c}) of S-pair (i, j)."""
-        level = self._packed()
+        return _widening(0, attempt)
+
+    def _record(self, level: PackedLevel, i: int, j: int) -> DivisionRecord:
+        """The division record of S-pair (i, j) on the level."""
         lead_i, lead_j = level.leads[i][1], level.leads[j][1]
         lcm = exp_lcm(lead_i, lead_j)
         quots, rem = level.spair_division(i, j, exp_sub(lcm, lead_i), exp_sub(lcm, lead_j))
-        unpack = level.codec.unpack
-        return ({unpack(m): c for m, c in quots.items()},
-                {unpack(m): c for m, c in rem.items()})
-
-    def _record(self, i: int, j: int, quots: dict, rem: dict) -> DivisionRecord:
-        variables = self.generators[0].variables
+        unpack, variables = level.codec.unpack, self.generators[0].variables
         coords: list[dict] = [{} for _ in self.generators]
-        for (k, exp), c in quots.items():
+        for m, c in quots.items():
+            k, exp = unpack(m)
             coords[k][exp] = c
-        leads = self._packed().leads
         return DivisionRecord(tuple(Polynomial._raw(variables, q) for q in coords),
-                              Polynomial._raw(variables, {exp: c for (_, exp), c in rem.items()}),
-                              via_coprime_criterion=exp_coprime(leads[i][1], leads[j][1]))
+                              Polynomial._raw(variables, {unpack(m)[1]: c for m, c in rem.items()}),
+                              via_coprime_criterion=exp_coprime(lead_i, lead_j))
 
-    def _spair_record(self, i: int, j: int) -> DivisionRecord:
-        return self._record(i, j, *self._spair_division(i, j))
-
-    def transcript_terms(self, i: int, j: int) -> dict:
-        """The quotients of ``transcript(i, j)`` as one term map {(k, exp): c}."""
-        if not 0 <= i < j < len(self.generators):
-            raise ValueError("transcript wants a pair i < j of basis indices")
-        quots, rem = self._spair_division(i, j)
-        if rem:
-            raise remainder_error(i, j)
-        return quots
+    def _spair_records(self) -> dict[tuple[int, int], DivisionRecord]:
+        """The division record of every S-pair, remainders included."""
+        n = len(self.generators)
+        return self._on_level(lambda level: {(i, j): self._record(level, i, j)
+                                             for i in range(n) for j in range(i + 1, n)})
 
     def transcript(self, i: int, j: int) -> DivisionRecord:
-        return self._record(i, j, self.transcript_terms(i, j), {})
+        if not 0 <= i < j < len(self.generators):
+            raise ValueError("transcript wants a pair i < j of basis indices")
+        record = self._on_level(lambda level: self._record(level, i, j))
+        if record.remainder:
+            raise remainder_error(i, j)
+        return record
 
     def spair_transcripts(self) -> dict[tuple[int, int], DivisionRecord]:
         n = len(self.generators)
@@ -570,10 +575,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
 
 def is_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder):
     """Buchberger's criterion: (all S-pairs reduce to zero, S-pair records)."""
-    gb = GroebnerBasis(gens, order)
-    n = len(gb)
-    records = {(i, j): gb._spair_record(i, j)
-               for i in range(n) for j in range(i + 1, n)}
+    records = GroebnerBasis(gens, order)._spair_records()
     return all(not rec.remainder for rec in records.values()), records
 
 

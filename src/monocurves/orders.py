@@ -23,7 +23,8 @@ class MonomialOrder:
     Every kind is a total order with 1 as the least monomial and is
     compatible with multiplication, which is what division and Buchberger
     loops need to terminate.  The order is its key function: u < v exactly
-    when key(u) < key(v).
+    when key(u) < key(v).  Every entry of the key is a linear form in u,
+    which is what ``integer_key`` reads off it.
     """
 
     kind: str
@@ -84,34 +85,22 @@ class MonomialOrder:
         return lambda u: (sum(u[i] * wi for i, wi in enumerate(w)),
                           *(-u[i] for i in rev))
 
-    def _linear_forms(self) -> list[tuple[int, ...]]:
-        """The entries of ``key`` as linear forms in u, in key order."""
-        n = self.nvars
-
-        def unit(i, sign=1):
-            return tuple(sign * (k == i) for k in range(n))
-
-        perm, rev = self.perm, tuple(reversed(self.perm))
-        if self.kind == "lex":
-            return [unit(i) for i in perm]
-        if self.kind == "grlex":
-            return [(1,) * n] + [unit(i) for i in perm]
-        if self.kind == "grevlex":
-            return [(1,) * n] + [unit(i, -1) for i in rev]
-        return [self.weights] + [unit(i, -1) for i in rev]
-
     def integer_key(self, bounds) -> tuple[int, ...]:
         """Coefficients c of the integer key sum(c[i] * u[i]), which orders
         the exponent vectors with 0 <= u[i] < bounds[i] exactly as ``key``.
 
-        The first nvars entries of ``key`` already determine u.  They are
-        packed in mixed radix, each entry's radix exceeding its spread over
-        the box, so the integers compare as the tuples do.  The key is
-        linear: the key of a product is the sum of the keys.
+        Every entry of ``key`` is a linear form in u, so entry j of the key
+        of the unit vector e_i is the coefficient of u[i] in form j.  The
+        first nvars forms already determine u.  They are packed in mixed
+        radix, each form's radix exceeding its spread over the box, so the
+        integers compare as the tuples do.  The key is linear: the key of a
+        product is the sum of the keys.
         """
-        coeffs = [0] * self.nvars
+        n = self.nvars
+        forms = list(zip(*(self.key(tuple(int(k == i) for k in range(n))) for i in range(n))))
+        coeffs = [0] * n
         scale = 1
-        for form in reversed(self._linear_forms()[:self.nvars]):
+        for form in reversed(forms[:n]):
             for i, a in enumerate(form):
                 coeffs[i] += a * scale
             scale *= 1 + sum(abs(a) * (b - 1) for a, b in zip(form, bounds))

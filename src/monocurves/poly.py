@@ -42,10 +42,6 @@ def weighted_degree(u, weights) -> int:
 
 # ---- packed module monomials --------------------------------------------------
 
-EXPONENT_BITS = 16
-EXPONENT_LIMIT = 1 << (EXPONENT_BITS - 1)    # packed exponents stay below this
-
-
 class MonomialCodec:
     """Module monomials (pos, u) over nvars variables, each packed in one int.
 
@@ -56,13 +52,14 @@ class MonomialCodec:
     and the sum is in range exactly when it sets no guard bit.  (pos, d)
     divides (pos, m) exactly when ((m | guard) - d) & guard == guard: a field
     where d exceeds m borrows its guard bit, and no borrow crosses a field.
-    The resolution packs at EXPONENT_BITS; the binomial engine of
-    ``groebner`` picks a width per completion.
+    Every packed structure of ``groebner`` and ``resolution`` picks its
+    width through ``groebner._widening`` and reruns twice as wide when an
+    exponent leaves its field.
     """
 
     __slots__ = ("bits", "limit", "shift", "guard", "fields", "_offsets", "_struct")
 
-    def __init__(self, nvars: int, bits: int = EXPONENT_BITS):
+    def __init__(self, nvars: int, bits: int):
         fmt = _FIELD_FORMATS.get(bits)
         self._struct = struct.Struct(f"<{nvars}{fmt}") if fmt else None
         self._offsets = tuple(range(0, nvars * bits, bits))
@@ -93,8 +90,7 @@ _FIELD_FORMATS = {16: "H", 32: "I", 64: "Q"}
 
 
 def _overflow() -> OverflowError:
-    return OverflowError(f"monomial exponent above {EXPONENT_LIMIT - 1}, "
-                         "the limit of packed monomials")
+    return OverflowError("monomial exponent outside its packed field")
 
 
 def _inverse(c):

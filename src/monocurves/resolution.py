@@ -196,14 +196,15 @@ def schreyer_syzygies(gb: GroebnerBasis, weights=None) -> list[FreeModuleElement
         weights = (1,) * len(gb.generators[0].variables)
     shifts = tuple(g.weighted_degree(weights) for g in gb.generators)
     variables = gb.generators[0].variables
-    level = gb._packed()
-    pairs = _pairs(level.leads)
-    out = []
-    for n in range(len(pairs)):
-        syz = _unpacked(level.codec, _syzygy(level, pairs, n))
-        out.append(FreeModuleElement([Polynomial._raw(variables, {exp: -c for exp, c in h.items()})
-                                      for h in _coordinates(syz, len(gb))], shifts))
-    return out
+
+    def syzygies(level):
+        pairs = _pairs(level.leads)
+        return [_coordinates(_unpacked(level.codec, _syzygy(level, pairs, n)), len(gb))
+                for n in range(len(pairs))]
+
+    return [FreeModuleElement([Polynomial._raw(variables, {exp: -c for exp, c in h.items()})
+                               for h in coords], shifts)
+            for coords in gb._on_level(syzygies)]
 
 
 def _prune_and_sort(leads, tie_key) -> list[int]:
@@ -332,6 +333,9 @@ def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
     otherwise).  Each level, they and then the Schreyer syzygies of the
     previous one (a Groebner basis in the induced order), is pruned to a
     minimal basis and sorted, so iteration stops at the variable-count bound.
+    Every level packs its monomials at the width ``GroebnerBasis`` chose
+    for the generators; a level that outgrows it reruns the resolution
+    twice as wide, so any exponent is taken.
     """
     variables, weights = pres.variables, pres.weights
     for g in pres.generators:
@@ -349,23 +353,23 @@ def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
     if any(gb.normal_form(pres.generators[k]) for k in sorted(dropped)):
         raise ValueError("presentation generators are not a Groebner basis")
 
-    nvars = len(variables)
-    shifts: list[list[int]] = [[0], [g.weighted_degree(weights) for g in gb]]
-    diffs: list[list[list[Polynomial]]] = [[list(gb.generators)]]
-    level = gb._packed()
-    syz, syz_leads = _kept_syzygies(level)
-    while syz:
-        if len(diffs) >= nvars:
-            raise AssertionError("resolution exceeded the variable-count bound")
-        rank, prev = len(level.leads), shifts[-1]
-        coords = [_coordinates(_unpacked(level.codec, e), rank) for e in syz]
-        diffs.append([[Polynomial._raw(variables, col[r]) for col in coords]
-                      for r in range(rank)])
-        shifts.append([weighted_degree(exp, weights) + prev[pos] for pos, exp in syz_leads])
-        level = PackedLevel(level.codec, level.order.next(level.leads), syz, syz_leads)
+    def resolve(level):
+        shifts: list[list[int]] = [[0], [g.weighted_degree(weights) for g in gb]]
+        diffs: list[list[list[Polynomial]]] = [[list(gb.generators)]]
         syz, syz_leads = _kept_syzygies(level)
-    ranks = [len(s) for s in shifts]
-    return GradedResolution(ranks, shifts, diffs, variables, weights)
+        while syz:
+            if len(diffs) >= len(variables):
+                raise AssertionError("resolution exceeded the variable-count bound")
+            rank, prev = len(level.leads), shifts[-1]
+            coords = [_coordinates(_unpacked(level.codec, e), rank) for e in syz]
+            diffs.append([[Polynomial._raw(variables, col[r]) for col in coords]
+                          for r in range(rank)])
+            shifts.append([weighted_degree(exp, weights) + prev[pos] for pos, exp in syz_leads])
+            level = PackedLevel(level.order.next(level.leads), syz, syz_leads)
+            syz, syz_leads = _kept_syzygies(level)
+        return GradedResolution([len(s) for s in shifts], shifts, diffs, variables, weights)
+
+    return gb._on_level(resolve)
 
 
 def _first_unit(mat, start):

@@ -2,9 +2,9 @@
 
 Only ``kernel_oracle.elimination_kernel`` ranks monomials by it: lex on the
 first ``elim`` variables of perm, then weighted grevlex on the remaining
-block.  It is a ``MonomialOrder`` with its own key and linear forms, so
-``Polynomial.leading``, ``divide`` and ``integer_key`` take it like any
-library order.
+block.  It is a ``MonomialOrder`` with its own key, each entry linear in
+u, so ``Polynomial.leading``, ``divide`` and ``integer_key`` take it like
+any library order.
 """
 
 from __future__ import annotations
@@ -37,18 +37,6 @@ class EliminationOrder(MonomialOrder):
         return lambda u: (*(u[i] for i in head),
                           sum(u[i] * wi for i, wi in tw),
                           *(-u[i] for i in rev))
-
-    def _linear_forms(self) -> list[tuple[int, ...]]:
-        n = self.nvars
-        head, tail = self.perm[:self.elim], self.perm[self.elim:]
-
-        def unit(i, sign=1):
-            return tuple(sign * (k == i) for k in range(n))
-
-        tw = tuple((self.weights[i] if self.weights else 1) if i in tail else 0
-                   for i in range(n))
-        return ([unit(i) for i in head] + [tw]
-                + [unit(i, -1) for i in reversed(tail)])
 
     @property
     def degree_compatible(self) -> bool:

@@ -5,9 +5,9 @@ binomial engine (``groebner.PackedBinomials``) exactly when every generator
 is a pure binomial c*(x^u - x^v).  Here the engine meets the ``Polynomial``
 loops of ``kernel_oracle``: equal bases under every kind of order, and an
 equal outcome for every ``max_basis`` bound.  Other input must stay on the
-``Polynomial`` path with its old output, the engine must not inherit the
-packed exponent limit of transcripts and resolutions, and a completion whose
-exponents outgrow their fields must give the output of one that fits.
+``Polynomial`` path with its old output, the engine takes any exponent, and
+a completion whose exponents outgrow their fields must give the output of
+one that fits, as must every other packed structure.
 """
 
 import random
@@ -19,8 +19,9 @@ from kernel_oracle import polynomial_complete, polynomial_reduce, restart_minima
 
 import monocurves.groebner as groebner_module
 from monocurves import (ComputationLimitExceeded, GradedIdealPresentation, MonomialOrder,
-                        Polynomial, buchberger, eta_check, minimal_generators,
-                        parametrization_kernel, parse_polynomial, reduce_basis)
+                        Polynomial, buchberger, eta_check, free_resolution, is_groebner_basis,
+                        minimal_generators, minimalize, parametrization_kernel,
+                        parse_polynomial, reduce_basis, schreyer_syzygies)
 from monocurves.poly import weighted_degree
 
 
@@ -183,7 +184,7 @@ def test_non_binomial_input_stays_on_the_polynomial_path(monkeypatch):
         assert [str(g) for g in minimal_generators(pres).generators] == want, texts
 
 
-# ---- exponents past the packed limit of transcripts and resolutions --------
+# ---- exponents past the 16-bit fields ---------------------------------------
 
 def test_exponent_range_is_not_limited(monkeypatch):
     widths = []
@@ -254,31 +255,39 @@ def test_mid_run_widening_on_the_polynomial_path(monkeypatch):
     assert gb.generators[-1].leading(lex)[0] == (0, 49149)
 
 
-def engine_outputs(exponents):
+def packed_outputs(exponents):
+    """The outputs of every packed structure: the engine's bases, the
+    transcript records and Schreyer syzygies of GroebnerBasis levels, and
+    the raw and minimal resolutions."""
     pres = parametrization_kernel(exponents)
-    out = [pres.generators, minimal_generators(pres).generators]
+    mingens = minimal_generators(pres).generators
+    out = [pres.generators, mingens]
     for order in orders(exponents, reversed_too=False):
         gb = buchberger(pres.generators, order)
         out += [gb.generators, reduce_basis(gb).generators]
-    return out
+    res = free_resolution(pres)
+    return out + [is_groebner_basis(pres.generators, pres.order),
+                  is_groebner_basis(mingens, pres.order),
+                  schreyer_syzygies(pres.groebner_basis(), pres.weights), res, minimalize(res)]
 
 
 @pytest.mark.parametrize("bits", [32, 64, 128])
 def test_engine_output_does_not_depend_on_the_width(monkeypatch, bits):
-    # the packed lcm, support, degree and divisibility tests at every width,
-    # 128 bits past the widths with a struct code
+    # the packed lcm, support, degree and divisibility tests, the S-pair
+    # division and the module keys at every width, 128 bits past the widths
+    # with a struct code
     curves = [(5, 7, 9, 11), (12, 15, 20, 23), (5, 6, 7, 8, 9)]
-    want = [engine_outputs(exponents) for exponents in curves]
+    want = [packed_outputs(exponents) for exponents in curves]
     widths = []
-    engine = groebner_module.PackedBinomials
+    codec = groebner_module.MonomialCodec
 
-    def recording(order, bits, pairs=()):
+    def recording(nvars, bits):
         widths.append(bits)
-        return engine(order, bits, pairs)
+        return codec(nvars, bits)
 
-    monkeypatch.setattr(groebner_module, "PackedBinomials", recording)
+    monkeypatch.setattr(groebner_module, "MonomialCodec", recording)
     monkeypatch.setattr(groebner_module, "EXPONENT_BITS", bits)
-    assert [engine_outputs(exponents) for exponents in curves] == want
+    assert [packed_outputs(exponents) for exponents in curves] == want
     assert set(widths) == {bits}
 
 

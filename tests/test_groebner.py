@@ -298,22 +298,23 @@ def test_groebner_basis_container():
 
 def test_exponent_overflow_raises_in_lex_division():
     # lex division is not degree-bounded: the tails of a lex basis may pass
-    # the packed exponent limit, which raises OverflowError rather than carry
-    # into the next field, whether the S-vector or a reduction step
-    # (x1^(L-2) * x1^(L-1)) passes it; one step lower, both run
-    from monocurves.poly import EXPONENT_LIMIT
+    # the top of a 16-bit field, in the S-vector or in a reduction step
+    # (x1^(L-2) * x1^(L-1)); the records are then built on 32-bit fields,
+    # and either way they are ring division of the S-polynomial
+    from monocurves.poly import MonomialCodec
 
-    top = EXPONENT_LIMIT - 1
-    for gens in ([p(f"x0 - x1^{top}"), p("x0*x1 - 1")],
-                 [p("x0^2 - 1"), p(f"x0*x1 - x1^{top}")]):
-        with pytest.raises(OverflowError, match=f"^monomial exponent above {top}"):
-            is_groebner_basis(gens, LEX2)
-        with pytest.raises(OverflowError):
-            GroebnerBasis(gens, LEX2).transcript(0, 1)
-    ok, records = is_groebner_basis([p(f"x0 - x1^{top - 1}"), p("x0*x1 - 1")], LEX2)
-    assert not ok and records[0, 1].remainder == p(f"-x1^{top} + 1")
-    ok, records = is_groebner_basis([p("x0^2 - 1"), p(f"x0*x1 - x1^{top // 2}")], LEX2)
-    assert not ok and records[0, 1].remainder == p(f"x1^{2 * (top // 2) - 1} - x1")
+    top = MonomialCodec(2, 16).limit - 1
+    for bits, a, b in ((16, top - 1, top // 2), (32, top, top)):
+        for gens in ([p(f"x0 - x1^{a}"), p("x0*x1 - 1")], [p("x0^2 - 1"), p(f"x0*x1 - x1^{b}")]):
+            basis = GroebnerBasis(gens, LEX2)
+            want = divide(s_polynomial(basis[0], basis[1], LEX2), basis.generators, LEX2)
+            ok, records = is_groebner_basis(gens, LEX2)
+            assert not ok and want.remainder
+            assert (records[0, 1].quotients, records[0, 1].remainder) == (want.quotients,
+                                                                          want.remainder)
+            with pytest.raises(ValueError, match=r"pair \(0, 1\) does not reduce"):
+                basis.transcript(0, 1)
+            assert basis._level.codec.bits == bits
 
 
 def test_schreyer_key_is_exact_on_sums_of_packed_monomials():
@@ -325,18 +326,18 @@ def test_schreyer_key_is_exact_on_sums_of_packed_monomials():
     from itertools import product
 
     from monocurves import SchreyerOrder
-    from monocurves.poly import EXPONENT_LIMIT
+    from monocurves.poly import MonomialCodec
 
-    grid = (0, 1, 2, EXPONENT_LIMIT - 1, 2 * EXPONENT_LIMIT - 1)
-    cases = [(order, grid) for order in (MonomialOrder.lex(2), MonomialOrder.grlex(2, (1, 0)),
-                                         MonomialOrder.grevlex(2), MonomialOrder.weighted((3, 1)))]
-    cases.append((MonomialOrder.grevlex(3, (2, 0, 1)), grid[::2]))
-    for order, values in cases:
+    orders = [MonomialOrder.lex(2), MonomialOrder.grlex(2, (1, 0)), MonomialOrder.grevlex(2),
+              MonomialOrder.weighted((3, 1)), MonomialOrder.grevlex(3, (2, 0, 1))]
+    for bits, order in product((16, 32), orders):
         n = order.nvars
+        codec = MonomialCodec(n, bits)
+        values = (0, 1, 2, codec.limit - 1, 2 * codec.limit - 1)[::1 if n == 2 else 2]
         for offsets in product([(0,) * n, (1,) + (0,) * (n - 1),
-                                (0,) * (n - 1) + (3 * EXPONENT_LIMIT,)], repeat=2):
+                                (0,) * (n - 1) + (3 * codec.limit,)], repeat=2):
             for tierank in ((0, 1), (1, 0)):
-                schreyer = SchreyerOrder(order, offsets, tierank)
+                schreyer = SchreyerOrder(order, codec, offsets, tierank)
                 monomials = [(k, u) for k in (0, 1) for u in product(values, repeat=n)]
                 tuple_key = lambda mm: (order.key(tuple(map(sum, zip(mm[1], offsets[mm[0]])))),
                                         tierank[mm[0]])

@@ -324,28 +324,31 @@ def test_int_coefficients_agree_with_fractions(f_terms, divisor_terms, order):
 
 # ---- packed module monomials --------------------------------------------------
 
-def _in_range(nvars):
-    from monocurves.poly import EXPONENT_LIMIT
+def _packed_case(nvars, bits):
+    """(bits, pos, u, v) with u, v in the fields of a codec of that width."""
+    from monocurves.poly import MonomialCodec
 
-    return st.tuples(*[st.sampled_from((0, 1, 2, 5, EXPONENT_LIMIT - 2, EXPONENT_LIMIT - 1))
-                       | st.integers(0, EXPONENT_LIMIT - 1)] * nvars)
+    limit = MonomialCodec(nvars, bits).limit
+    in_range = st.tuples(*[st.sampled_from((0, 1, 2, 5, limit - 2, limit - 1))
+                           | st.integers(0, limit - 1)] * nvars)
+    return st.tuples(st.just(bits), st.integers(0, 40), in_range, in_range)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.integers(0, 40), _in_range(n),
-                                                     _in_range(n))))
+@given(st.tuples(st.integers(1, 6), st.sampled_from((16, 32))).flatmap(
+    lambda nb: _packed_case(*nb)))
 def test_packed_product_and_divisibility(case):
     # a product is one addition, in range exactly when no guard bit is set,
     # and divisibility is one test on the guard bits
-    from monocurves.poly import EXPONENT_LIMIT, MonomialCodec, exp_add, exp_divides
+    from monocurves.poly import MonomialCodec, exp_add, exp_divides
 
-    pos, u, v = case
-    codec = MonomialCodec(len(u))
+    bits, pos, u, v = case
+    codec = MonomialCodec(len(u), bits)
     m, d = codec.pack(pos, u), codec.pack(pos, v)
     assert codec.unpack(m) == (pos, u)
     w = exp_add(u, v)
-    assert bool((m + codec.pack(0, v)) & codec.guard) == (max(w) >= EXPONENT_LIMIT)
-    if max(w) < EXPONENT_LIMIT:
+    assert bool((m + codec.pack(0, v)) & codec.guard) == (max(w) >= codec.limit)
+    if max(w) < codec.limit:
         assert codec.unpack(m + codec.pack(0, v)) == (pos, w)
     assert (((m | codec.guard) - d) & codec.guard == codec.guard) == exp_divides(v, u)
     lower = codec.pack(pos, tuple(map(min, u, v)))
@@ -353,10 +356,12 @@ def test_packed_product_and_divisibility(case):
 
 
 def test_exponent_out_of_range_raises():
-    from monocurves.poly import EXPONENT_LIMIT, MonomialCodec
+    from monocurves.poly import MonomialCodec
 
-    codec = MonomialCodec(3)
-    assert codec.unpack(codec.pack(7, (EXPONENT_LIMIT - 1, 0, 1))) == (7, (EXPONENT_LIMIT - 1, 0, 1))
-    for exp in ((EXPONENT_LIMIT, 0, 0), (0, 0, EXPONENT_LIMIT), (0, 3 * EXPONENT_LIMIT, 0)):
-        with pytest.raises(OverflowError, match=f"^monomial exponent above {EXPONENT_LIMIT - 1}"):
-            codec.pack(0, exp)
+    for bits in (16, 32):
+        codec = MonomialCodec(3, bits)
+        top = codec.limit - 1
+        assert codec.unpack(codec.pack(7, (top, 0, 1))) == (7, (top, 0, 1))
+        for exp in ((top + 1, 0, 0), (0, 0, top + 1), (0, 3 * codec.limit, 0)):
+            with pytest.raises(OverflowError, match="^monomial exponent outside its packed field"):
+                codec.pack(0, exp)

@@ -222,6 +222,21 @@ def test_last_module_is_the_type():
         assert (res.betti[-1] == 1) == s.is_symmetric(), gens
 
 
+@pytest.mark.parametrize("gens, betti", [((2, 40001), [1]), ((3, 40001, 40003), [3, 2]),
+                                         ((5, 70001, 70003, 70007, 70009), [10, 20, 15, 4])])
+def test_betti_numbers_take_any_exponent(gens, betti):
+    # these exponents leave 16-bit fields, and every packed level is rebuilt
+    # on wider ones; the last Betti number is the type mu - 1
+    from monocurves import derivation_rank, new_semigroup
+
+    res = free_resolution(parametrization_kernel(gens))
+    mini = minimalize(res)
+    assert betti_numbers(gens) == mini.betti == betti
+    assert res.is_complex() and mini.is_complex()
+    assert sum((-1) ** k * r for k, r in enumerate(mini.ranks)) == 0
+    assert betti[-1] == derivation_rank(new_semigroup(gens)).mu - 1
+
+
 def test_export_formats_deterministic():
     pres = parametrization_kernel((3, 5, 7))
     a = minimalize(free_resolution(pres)).to_json_dict()
@@ -322,9 +337,11 @@ def test_flat_schreyer_key_matches_nested_oracle(oracle_resolutions):
     from schreyer_oracle import rank_one_key, schreyer_key
 
     from monocurves import SchreyerOrder
+    from monocurves.poly import MonomialCodec
 
     for gens, pres, raw, _ in oracle_resolutions:
-        flat, nested = SchreyerOrder.rank_one(pres.order), rank_one_key(pres.order)
+        flat = SchreyerOrder.rank_one(pres.order, MonomialCodec(len(gens), 16))
+        nested = rank_one_key(pres.order)
         units = [tuple(int(k == i) for k in range(len(gens))) for i in range(len(gens))]
         for mat in raw.differentials:
             columns = [[(r, exp) for r, row in enumerate(mat) for exp in row[c].terms]
@@ -524,10 +541,10 @@ def assert_prune_matches_oracle(pres, monkeypatch):
         free_resolution(pres)
     assert levels[-1][1] == ([], [])
 
-    order = SchreyerOrder.rank_one(pres.order)
+    ring = levels[0][0]
+    order = SchreyerOrder.rank_one(pres.order, ring.codec)
     want, want_leads = prune_and_sort([FreeModuleElement((g,), (0,)) for g in pres.generators],
                                       order.key)
-    ring = levels[0][0]
     assert [_element(resolution._unpacked(ring.codec, {m: c for m, _, c in terms}), 1,
                      pres.variables, 1) for terms in ring.elements] == want
     assert ring.leads == want_leads
