@@ -12,7 +12,7 @@ from .families import (_concatenation_generators, bresinsky_generators,
                        verify_bresinsky)
 from .groebner import (ComputationLimitExceeded, GroebnerBasis, buchberger,
                        homogenize_basis, reduce_basis)
-from .orders import MonomialOrder
+from .orders import _KINDS, MonomialOrder
 from .resolution import betti_numbers, free_resolution, minimalize
 from .semigroup import NumericalSemigroup
 from .toric import MonomialCurve, defining_ideal, minimal_generators
@@ -58,19 +58,9 @@ def _curve(gens, args) -> MonomialCurve:
 
 def _order_for(args, curve) -> MonomialOrder:
     n = len(curve.variables)
-    perm = None
-    if args.perm:
-        perm = tuple(int(x) for x in args.perm.split(","))
-    kind = args.order
-    if kind == "lex":
-        return MonomialOrder.lex(n, perm)
-    if kind == "grlex":
-        return MonomialOrder.grlex(n, perm)
-    if kind == "grevlex":
-        return MonomialOrder.grevlex(n, perm)
-    if kind == "weighted":
-        return MonomialOrder.weighted(curve.weights, perm)
-    raise ValueError(f"unknown order {kind!r}")
+    perm = tuple(int(x) for x in args.perm.split(",")) if args.perm else tuple(range(n))
+    weights = curve.weights if args.order == "weighted" else None
+    return MonomialOrder(args.order, n, perm, weights)
 
 
 def _basis_under(order, pres, args) -> GroebnerBasis:
@@ -263,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("groebner", help="reduced Groebner basis of the defining ideal")
     common(p)
-    p.add_argument("--order", choices=("lex", "grlex", "grevlex", "weighted"),
-                   default="weighted")
+    p.add_argument("--order", choices=_KINDS, default="weighted")
     p.add_argument("--perm", help="comma-separated variable priority, e.g. 2,1,0,3")
 
     p = sub.add_parser("resolution", help="graded free resolution")

@@ -8,8 +8,8 @@ from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .orders import MonomialOrder
-from .poly import (_VARIABLE, DivisionRecord, MonomialCodec, Polynomial, _overflow, divide,
-                   exp_add, exp_coprime, exp_divides, exp_lcm, exp_sub, s_polynomial,
+from .poly import (_VARIABLE, DivisionRecord, MonomialCodec, Polynomial, _overflow, _set_lead,
+                   divide, exp_add, exp_coprime, exp_divides, exp_lcm, exp_sub, s_polynomial,
                    weighted_degree)
 
 EXPONENT_BITS = 16      # the narrowest field width ``_widening`` tries
@@ -103,6 +103,16 @@ class PackedLevel:
             self.tails.append([term for term in terms if term[0] != lead])
             self.divisors.setdefault(pos, []).append(
                 (k << shift, lead, order.key((pos, exp)), self.tails[-1]))
+
+    def coordinates(self, term_map, rank: int) -> list[dict]:
+        """The term maps {exp: c} at positions 0, ..., rank - 1 of a packed
+        term map {m: c} of the level."""
+        unpack = self.codec.unpack
+        coords: list[dict] = [{} for _ in range(rank)]
+        for m, c in term_map.items():
+            pos, exp = unpack(m)
+            coords[pos][exp] = c
+        return coords
 
     def spair_division(self, i: int, j: int, u, v):
         """(quotients {packed (k, q): c}, remainder {packed: c}) of the S-pair
@@ -237,13 +247,10 @@ class GroebnerBasis:
         lead_i, lead_j = level.leads[i][1], level.leads[j][1]
         lcm = exp_lcm(lead_i, lead_j)
         quots, rem = level.spair_division(i, j, exp_sub(lcm, lead_i), exp_sub(lcm, lead_j))
-        unpack, variables = level.codec.unpack, self.generators[0].variables
-        coords: list[dict] = [{} for _ in self.generators]
-        for m, c in quots.items():
-            k, exp = unpack(m)
-            coords[k][exp] = c
-        return DivisionRecord(tuple(Polynomial._raw(variables, q) for q in coords),
-                              Polynomial._raw(variables, {unpack(m)[1]: c for m, c in rem.items()}),
+        variables = self.generators[0].variables
+        return DivisionRecord(tuple(Polynomial._raw(variables, q)
+                                    for q in level.coordinates(quots, len(self.generators))),
+                              Polynomial._raw(variables, level.coordinates(rem, 1)[0]),
                               via_coprime_criterion=exp_coprime(lead_i, lead_j))
 
     def _spair_records(self) -> dict[tuple[int, int], DivisionRecord]:
@@ -389,9 +396,15 @@ def _complete(basis: list[Polynomial], order: MonomialOrder, first: int,
 
 # ---- the binomial engine ----------------------------------------------------
 
-def _pure_binomial(g: Polynomial) -> bool:
-    """True for c*(x^u - x^v): two terms whose coefficients cancel."""
-    return len(g.terms) == 2 and not sum(g.terms.values())
+def binomial_pairs(polys) -> list[tuple[tuple[int, ...], tuple[int, ...]]] | None:
+    """The exponent pairs (u, v) of the polynomials, or None unless each is a
+    pure binomial c*(x^u - x^v): two terms whose coefficients cancel."""
+    pairs = []
+    for g in polys:
+        if len(g.terms) != 2 or sum(g.terms.values()):
+            return None
+        pairs.append(tuple(g.terms))
+    return pairs
 
 
 def _normal_form(m: int, key: int, basis, guard: int):
@@ -536,9 +549,13 @@ def _reduced(binomials: PackedBinomials):
     return binomials.pairs()
 
 
-def binomial_polynomials(variables, pairs) -> list[Polynomial]:
-    """The monic binomials x^lead - x^tail of (lead, tail) exponent pairs."""
-    return [Polynomial._raw(variables, {lead: 1, tail: -1}) for lead, tail in pairs]
+def binomial_polynomials(variables, pairs, order: MonomialOrder) -> list[Polynomial]:
+    """The monic binomials x^lead - x^tail of the engine's (lead, tail) pairs
+    under order, each lead remembered: the engine ranks as ``order.key`` does."""
+    polys = [Polynomial._raw(variables, {lead: 1, tail: -1}) for lead, tail in pairs]
+    for g, (lead, _) in zip(polys, pairs):
+        _set_lead(g, (order, lead, 1))
+    return polys
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
@@ -564,10 +581,10 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
     if any(g.variables != gens[0].variables for g in gens):
         raise ValueError("generators live in different ambients")
     basis = [g.monic(order) for g in gens]
-    if all(map(_pure_binomial, basis)):
-        done = binomial_run([tuple(g.terms) for g in basis], order,
-                            partial(_completed, max_basis))
-        basis += binomial_polynomials(gens[0].variables, done[len(basis):])
+    pairs = binomial_pairs(basis)
+    if pairs is not None:
+        done = binomial_run(pairs, order, partial(_completed, max_basis))
+        basis += binomial_polynomials(gens[0].variables, done[len(basis):], order)
     else:
         _complete(basis, order, 0, max_basis)
     return GroebnerBasis(basis, order)
@@ -593,9 +610,11 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     order = gb.order
     if not gb.generators:
         return gb
-    if all(map(_pure_binomial, gb.generators)):
-        done = binomial_run([tuple(g.terms) for g in gb.generators], order, _reduced)
-        return GroebnerBasis(binomial_polynomials(gb.generators[0].variables, done), order)
+    pairs = binomial_pairs(gb.generators)
+    if pairs is not None:
+        done = binomial_run(pairs, order, _reduced)
+        return GroebnerBasis(binomial_polynomials(gb.generators[0].variables, done, order),
+                             order)
     # drop generators whose leading monomial another one divides
     kept: list[Polynomial] = []
     for g in sorted(gb.generators, key=lambda g: order.key(g.leading(order)[0])):

@@ -215,25 +215,19 @@ class Polynomial:
     # ---- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_ambient(other)
-        res = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = res.get(exp, 0) + c
-            if s:
-                res[exp] = s
-            elif exp in res:
-                del res[exp]
-        return Polynomial._raw(self.variables, res)
+        return self._merge(other, add)
 
     def __sub__(self, other):
+        return self._merge(other, sub)
+
+    def _merge(self, other, op):
+        """self + other or self - other, for op ``add`` or ``sub``."""
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ambient(other)
         res = dict(self.terms)
         for exp, c in other.terms.items():
-            s = res.get(exp, 0) - c
+            s = op(res.get(exp, 0), c)
             if s:
                 res[exp] = s
             elif exp in res:
@@ -330,7 +324,7 @@ class Polynomial:
             raise ValueError("order arity does not match ambient")
         exp = max(self.terms, key=order.key)
         c = self.terms[exp]
-        object.__setattr__(self, "_lead", (order, exp, c))
+        _set_lead(self, (order, exp, c))
         return exp, c
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
@@ -362,6 +356,7 @@ class Polynomial:
 # the slots' own setters: Polynomial.__setattr__ refuses every assignment
 _set_variables = Polynomial.variables.__set__
 _set_terms = Polynomial.terms.__set__
+_set_lead = Polynomial._lead.__set__
 
 
 # ---- division with transcript -------------------------------------------

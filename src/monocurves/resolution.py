@@ -58,10 +58,6 @@ class FreeModuleElement:
     def __repr__(self):
         return "(" + ", ".join(str(p) for p in self.coordinates) + ")"
 
-    def scale(self, c) -> "FreeModuleElement":
-        return FreeModuleElement(tuple(p.scale(c) for p in self.coordinates),
-                                 self.shifts)
-
     def leading(self, key):
         """(position, exponents, coefficient) of the largest module monomial
         under the module order ``key``."""
@@ -72,37 +68,14 @@ class FreeModuleElement:
         pos, exp = best
         return pos, exp, self.coordinates[pos].terms[exp]
 
-    def degree(self, weights) -> int:
-        """Homogeneous degree; raises when coordinates disagree."""
-        degs = set()
-        for shift, poly in zip(self.shifts, self.coordinates):
-            for exp in poly.terms:
-                degs.add(weighted_degree(exp, weights) + shift)
-        if len(degs) != 1:
-            raise ValueError(f"element is not homogeneous (degrees {sorted(degs)})")
-        return degs.pop()
-
     def sort_key(self):
         return tuple(p.sort_key() for p in self.coordinates)
 
 
-def _coordinates(element: dict, rank: int) -> list[dict]:
-    """The coordinate term maps exp -> c of a term-map element of R^rank."""
-    coords: list[dict] = [{} for _ in range(rank)]
-    for (pos, exp), c in element.items():
-        coords[pos][exp] = c
-    return coords
-
-
-def _dense_key(element: dict, rank: int):
-    """``FreeModuleElement.sort_key`` of a term-map element of R^rank."""
+def _dense_key(coords: list[dict]):
+    """``FreeModuleElement.sort_key`` of an element given by its coordinates."""
     return tuple(tuple(sorted((exp, (c.numerator, c.denominator)) for exp, c in h.items()))
-                 for h in _coordinates(element, rank))
-
-
-def _unpacked(codec, element: dict) -> dict:
-    """A packed term map as the term map {(pos, exp): c}."""
-    return {codec.unpack(m): c for m, c in element.items()}
+                 for h in coords)
 
 
 def _pairs(leads) -> list[tuple]:
@@ -183,7 +156,7 @@ def _kept_syzygies(level: PackedLevel):
         return found[n]
 
     rank = len(level.leads)
-    kept = _prune_and_sort(leads, lambda n: _dense_key(_unpacked(level.codec, syzygy(n)), rank))
+    kept = _prune_and_sort(leads, lambda n: _dense_key(level.coordinates(syzygy(n), rank)))
     return [syzygy(n) for n in kept], [leads[n] for n in kept]
 
 
@@ -199,8 +172,7 @@ def schreyer_syzygies(gb: GroebnerBasis, weights=None) -> list[FreeModuleElement
 
     def syzygies(level):
         pairs = _pairs(level.leads)
-        return [_coordinates(_unpacked(level.codec, _syzygy(level, pairs, n)), len(gb))
-                for n in range(len(pairs))]
+        return [level.coordinates(_syzygy(level, pairs, n), len(gb)) for n in range(len(pairs))]
 
     return [FreeModuleElement([Polynomial._raw(variables, {exp: -c for exp, c in h.items()})
                                for h in coords], shifts)
@@ -361,7 +333,7 @@ def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
             if len(diffs) >= len(variables):
                 raise AssertionError("resolution exceeded the variable-count bound")
             rank, prev = len(level.leads), shifts[-1]
-            coords = [_coordinates(_unpacked(level.codec, e), rank) for e in syz]
+            coords = [level.coordinates(e, rank) for e in syz]
             diffs.append([[Polynomial._raw(variables, col[r]) for col in coords]
                           for r in range(rank)])
             shifts.append([weighted_degree(exp, weights) + prev[pos] for pos, exp in syz_leads])

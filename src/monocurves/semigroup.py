@@ -129,9 +129,9 @@ class NumericalSemigroup:
         return frozenset(x for x in range(self.conductor) if not self._table[x])
 
     def is_symmetric(self) -> bool:
-        # gaps below 0 need no check: F - x > F lies in the semigroup anyway
+        # gaps lie in 0..F; N itself (F = -1, no gaps) is symmetric
         frob = self.frobenius
-        if frob % 2 == 0 or frob < 0:
+        if frob % 2 == 0:
             return False
         return all(self.contains(frob - x) for x in self.gaps())
 

@@ -7,7 +7,7 @@ from functools import partial
 from math import gcd
 from typing import Sequence
 
-from .groebner import (GroebnerBasis, PackedBinomials, _complete, _pure_binomial,
+from .groebner import (GroebnerBasis, PackedBinomials, _complete, binomial_pairs,
                        binomial_polynomials, binomial_run)
 from .orders import MonomialOrder
 from .poly import Polynomial, _check_variables, divide, weighted_degree
@@ -126,7 +126,7 @@ def parametrization_kernel(exponents: Sequence[int],
             exponents, tuple(j for j in range(nvars) if j != i) + (i,))
         pairs = binomial_run(pairs, step, partial(_saturation_step, i, max_basis))
     return GradedIdealPresentation(variables, exponents, order,
-                                   tuple(binomial_polynomials(variables, pairs)))
+                                   tuple(binomial_polynomials(variables, pairs, order)))
 
 
 def _saturation_step(i: int, max_basis, binomials: PackedBinomials):
@@ -162,9 +162,9 @@ def minimal_generators(pres: GradedIdealPresentation) -> GradedIdealPresentation
     ordered = sorted(pres.generators,
                      key=lambda g: (g.weighted_degree(weights), g.sort_key()))
     bound = (weights, max((g.weighted_degree(weights) for g in ordered), default=0))
-    if all(map(_pure_binomial, ordered)):
-        kept = binomial_run([tuple(g.terms) for g in ordered], order,
-                            partial(_binomial_scan, bound))
+    pairs = binomial_pairs(ordered)
+    if pairs is not None:
+        kept = binomial_run(pairs, order, partial(_binomial_scan, bound))
         retained = [ordered[k] for k in kept]
     else:
         retained = []

@@ -25,6 +25,10 @@ def test_semigroup_json(capsys):
     assert (payload["F"], payload["c"]) == (4, 5)
     assert payload["symmetric"] is False
     assert payload["gaps"] == [1, 2, 4]
+    payload = run_json(capsys, "semigroup", "1")
+    assert (payload["F"], payload["c"], payload["genus"]) == (-1, 0, 0)
+    assert payload["symmetric"] is True
+    assert payload["gaps"] == []
 
 
 def test_semigroup_text(capsys):

@@ -133,6 +133,8 @@ def test_bresinsky_sweep():
     assert [row["beta1"] for row in rows] == [8, 12]
     assert [row["beta"] for row in rows] == [[8, 12, 5], [12, 20, 9]]
     assert all(row["eta_ok"] and row["error"] is None for row in rows)
+    assert family_sweep("bresinsky", [5]) == [
+        {"family": "bresinsky", "params": {"q2": 5}, "error": "q2 must be an even integer >= 4"}]
 
 
 def test_empty_sweep():

@@ -50,6 +50,8 @@ def test_buchberger_rejects_bad_input():
         buchberger([], LEX2)
     with pytest.raises(ValueError):
         buchberger([Polynomial.zero(XY)], LEX2)
+    with pytest.raises(ValueError, match="generators live in different ambients"):
+        buchberger([p("x0"), p("y0", ("x0", "y0"))], LEX2)
 
 
 def test_bresinsky_set_is_closed_under_completion():
@@ -294,6 +296,8 @@ def test_groebner_basis_container():
     assert gb.contains(gb[0] * gb[1])
     with pytest.raises(ValueError):
         gb.transcript(1, 1)
+    with pytest.raises(ValueError, match="zero polynomial in basis"):
+        GroebnerBasis([Polynomial.zero(XY)], LEX2)
 
 
 def test_exponent_overflow_raises_in_lex_division():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monocurves import (MonomialOrder, Polynomial, divide, parse_polynomial,
-                        poly_to_str, s_polynomial)
+from monocurves import (MonomialOrder, Polynomial, buchberger, divide, free_resolution,
+                        parametrization_kernel, parse_polynomial, poly_to_str,
+                        reduce_basis, s_polynomial)
 
 XY = ("x0", "x1")
 LEX2 = MonomialOrder.lex(2)
@@ -35,6 +36,8 @@ def test_canonical_form():
     h = Polynomial(XY, {(1, 0): True, (0, 1): 0.5, (0, 0): 2.0})
     assert [type(h.terms[e]) for e in ((1, 0), (0, 1), (0, 0))] == [int, Fraction, int]
     assert h == p("x0 + 1/2*x1 + 2")
+    with pytest.raises(ValueError, match=r"bad exponent vector \(1,\) for 2 variables"):
+        Polynomial(XY, {(1,): 1})
 
 
 def test_zero_and_equality():
@@ -52,6 +55,8 @@ def test_product_of_conjugates():
 def test_pow():
     assert p("x0 + 1") ** 3 == p("x0^3 + 3*x0^2 + 3*x0 + 1")
     assert p("x0") ** 0 == p("1")
+    with pytest.raises(ValueError, match="negative exponent"):
+        p("x0") ** -1
 
 
 def test_scale():
@@ -65,6 +70,10 @@ def test_substitute_eta_vanishing():
     assert not f.substitute(images)
     g = p("x0 - x1")
     assert g.substitute(images) == parse_polynomial("t^2 - t^3", t)
+    with pytest.raises(ValueError, match="need one image per variable"):
+        f.substitute(images[:1])
+    with pytest.raises(ValueError, match="images live in different ambients"):
+        f.substitute([images[0], Polynomial.monomial(("s",), (3,))])
 
 
 def test_leading_data():
@@ -132,9 +141,27 @@ def test_leading_is_remembered_per_order_object():
     assert checked
 
 
+def test_engine_binomials_arrive_with_their_lead():
+    # the engine hands its binomials over with their lead under its order
+    # remembered, so nothing ranks their terms again; the unit vectors that
+    # integer_key reads its linear forms off are left out
+    pres = parametrization_kernel((5, 7, 9, 11))
+    kernel_terms = [u for g in pres.generators for u in g.terms]
+    calls = counting_key(pres.order)
+    free_resolution(pres)
+    assert [u for u in calls if sum(u) != 1] == []
+    grevlex = MonomialOrder.grevlex(4)
+    calls = counting_key(grevlex)
+    gb = reduce_basis(buchberger(pres.generators, grevlex))
+    assert sorted(u for u in calls if sum(u) != 1) == sorted(kernel_terms)
+    assert all(g.leading(grevlex) == (max(g.terms, key=grevlex.key), 1) for g in gb)
+
+
 def test_ambient_mismatch():
     with pytest.raises(ValueError):
         p("x0") + parse_polynomial("t", ("t",))
+    with pytest.raises(ValueError, match="divisor ambient mismatch"):
+        divide(p("x0"), [parse_polynomial("t", ("t",))], LEX2)
 
 
 def test_immutability():
@@ -191,6 +218,8 @@ def test_division_reconstruction_random():
 def test_spoly_self_is_zero():
     f = p("x0^2 - x1")
     assert not s_polynomial(f, f, LEX2)
+    with pytest.raises(ValueError, match="S-polynomial of a zero polynomial"):
+        s_polynomial(f, Polynomial.zero(XY), LEX2)
 
 
 def test_spoly_frozen_example():
@@ -265,6 +294,8 @@ def test_parse_errors():
         p("")
     with pytest.raises(ValueError):
         p("x0 $ x1")
+    with pytest.raises(ValueError, match="expected integer, got 'y'"):
+        p("x0^y")
 
 
 def test_round_trip_random():

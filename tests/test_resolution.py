@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monocurves import (GradedResolution, MonomialOrder, Polynomial, buchberger,
-                        betti_numbers, free_resolution, minimal_generators,
+from monocurves import (FreeModuleElement, GradedResolution, MonomialOrder, Polynomial,
+                        buchberger, betti_numbers, free_resolution, minimal_generators,
                         minimalize, parametrization_kernel, parse_polynomial,
                         schreyer_syzygies)
 from monocurves.toric import GradedIdealPresentation
@@ -22,6 +22,8 @@ def test_koszul_syzygy():
     syz = schreyer_syzygies(gb)
     assert len(syz) == 1
     assert [str(c) for c in syz[0].coordinates] == ["-x2", "x1"]
+    with pytest.raises(ValueError, match="one shift per coordinate"):
+        FreeModuleElement(syz[0].coordinates, syz[0].shifts[:1])
 
 
 SCHREYER_SYZYGIES = {
@@ -487,9 +489,9 @@ def test_resolution_ranks_and_cancels_without_repeats(monkeypatch):
         calls["key"] += bool(pruning)
         return key(self, mm)
 
-    def counted_dense(element, rank):
+    def counted_dense(coords):
         calls["dense"] += 1
-        return dense(element, rank)
+        return dense(coords)
 
     monkeypatch.setattr(resolution, "_prune_and_sort", counted_prune)
     monkeypatch.setattr(SchreyerOrder, "key", counted_key)
@@ -511,12 +513,9 @@ def test_resolution_ranks_and_cancels_without_repeats(monkeypatch):
 
 # ---- the sparse prune against the dense oracle ------------------------------
 
-def _element(term_map, rank, variables, sign):
-    from monocurves import FreeModuleElement
-    from monocurves.resolution import _coordinates
-
+def _element(coords, variables, sign):
     return FreeModuleElement([Polynomial(variables, {e: sign * c for e, c in h.items()})
-                              for h in _coordinates(term_map, rank)], (0,) * rank)
+                              for h in coords], (0,) * len(coords))
 
 
 def assert_prune_matches_oracle(pres, monkeypatch):
@@ -527,7 +526,7 @@ def assert_prune_matches_oracle(pres, monkeypatch):
     off pairs."""
     from prune_oracle import prune_and_sort
 
-    from monocurves import FreeModuleElement, SchreyerOrder, resolution
+    from monocurves import SchreyerOrder, resolution
 
     levels = []
     kept_syzygies = resolution._kept_syzygies
@@ -545,23 +544,21 @@ def assert_prune_matches_oracle(pres, monkeypatch):
     order = SchreyerOrder.rank_one(pres.order, ring.codec)
     want, want_leads = prune_and_sort([FreeModuleElement((g,), (0,)) for g in pres.generators],
                                       order.key)
-    assert [_element(resolution._unpacked(ring.codec, {m: c for m, _, c in terms}), 1,
-                     pres.variables, 1) for terms in ring.elements] == want
+    assert [_element(ring.coordinates({m: c for m, _, c in terms}, 1), pres.variables, 1)
+            for terms in ring.elements] == want
     assert ring.leads == want_leads
     read = 0
     for level, (kept, kept_leads) in levels:
         # the dense oracle gets the syzygy of every pair
         pairs = resolution._pairs(level.leads)
-        syz = [resolution._unpacked(level.codec, resolution._syzygy(level, pairs, n))
-               for n in range(len(pairs))]
+        syz = [resolution._syzygy(level, pairs, n) for n in range(len(pairs))]
         syz_leads = [(i, u) for i, _, u, _ in pairs]
         order, rank = order.next(want_leads), len(want_leads)
-        tuples = [_element(s, rank, pres.variables, -1) for s in syz]
+        tuples = [_element(level.coordinates(s, rank), pres.variables, -1) for s in syz]
         assert [t.leading(order.key) for t in tuples] == [lead + (-1,) for lead in syz_leads]
         read += len(syz)
         want, want_leads = prune_and_sort(tuples, order.key)
-        assert [_element(resolution._unpacked(level.codec, s), rank, pres.variables, 1)
-                for s in kept] == want
+        assert [_element(level.coordinates(s, rank), pres.variables, 1) for s in kept] == want
         assert kept_leads == want_leads
     return read
 

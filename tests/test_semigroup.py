@@ -37,6 +37,8 @@ def test_natural_numbers():
     assert (inv.frobenius, inv.conductor, inv.genus) == (-1, 0, 0)
     assert s.gaps() == frozenset()
     assert s.contains(0) and s.contains(123)
+    # F = -1 and g = 0 = (F + 1) / 2: N is symmetric, k[t] is Gorenstein
+    assert s.is_symmetric()
 
 
 def test_two_three():

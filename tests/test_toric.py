@@ -76,6 +76,8 @@ def test_eta_check():
         order=parametrization_kernel((2, 3)).order,
         generators=(parse_polynomial("x0 - x1", ("x0", "x1")),))
     assert not eta_check(bad)
+    with pytest.raises(ValueError, match="need one image per variable"):
+        eta_check(bad, (2, 3, 5))
 
 
 def test_eta_check_bresinsky_ambient():
