@@ -58,7 +58,11 @@ def _curve(gens, args) -> MonomialCurve:
 
 def _order_for(args, curve) -> MonomialOrder:
     n = len(curve.variables)
-    perm = tuple(int(x) for x in args.perm.split(",")) if args.perm else tuple(range(n))
+    try:
+        perm = tuple(int(x) for x in args.perm.split(",")) if args.perm else tuple(range(n))
+    except ValueError:
+        raise ValueError("--perm wants comma-separated variable indices, "
+                         f"got {args.perm!r}") from None
     weights = curve.weights if args.order == "weighted" else None
     return MonomialOrder(args.order, n, perm, weights)
 

@@ -159,6 +159,9 @@ def _curve_row(semigroup: NumericalSemigroup, *, max_basis: int | None = None) -
     }
 
 
+_SWEEP_PARAMS = {"bresinsky": ("q2",), "concatenation": ("a", "d", "b", "p")}
+
+
 def family_sweep(family: str, params: Iterable, *,
                  max_basis: int | None = None) -> list[dict]:
     """Batch the full pipeline over a parameter range.
@@ -167,31 +170,26 @@ def family_sweep(family: str, params: Iterable, *,
     error and never abort the sweep; any other exception, such as a broken
     internal invariant, propagates.
     """
-    rows = []
-    if family == "bresinsky":
-        for q2 in params:
-            row: dict = {"family": family, "params": {"q2": q2}}
-            try:
-                inst = bresinsky_sequence(q2)
-                row["n"] = list(inst.n)
-                row.update(_curve_row(NumericalSemigroup(inst.n), max_basis=max_basis))
-                row["error"] = None
-            except _ROW_ERRORS as exc:
-                row["error"] = str(exc)
-            rows.append(row)
-    elif family == "concatenation":
-        for a, d, b, p in params:
-            row = {"family": family, "params": {"a": a, "d": d, "b": b, "p": p}}
-            try:
-                inst, semigroup = concatenation_semigroup(a, d, b, p)
-                row["n"] = list(inst.generators)
-                row.update(_curve_row(semigroup, max_basis=max_basis))
-                row["error"] = None
-            except _ROW_ERRORS as exc:
-                row["error"] = str(exc)
-            rows.append(row)
-    else:
+    if family not in _SWEEP_PARAMS:
         raise ValueError(f"unknown family {family!r}")
+    names = _SWEEP_PARAMS[family]
+    rows = []
+    for values in params:
+        values = (values,) if len(names) == 1 else tuple(values)
+        row: dict = {"family": family, "params": dict(zip(names, values, strict=True))}
+        try:
+            if family == "bresinsky":
+                gens = bresinsky_sequence(*values).n
+                semigroup = NumericalSemigroup(gens)
+            else:
+                inst, semigroup = concatenation_semigroup(*values)
+                gens = inst.generators
+            row["n"] = list(gens)
+            row.update(_curve_row(semigroup, max_basis=max_basis))
+            row["error"] = None
+        except _ROW_ERRORS as exc:
+            row["error"] = str(exc)
+        rows.append(row)
     return rows
 
 

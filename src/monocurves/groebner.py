@@ -205,6 +205,10 @@ class GroebnerBasis:
         self.order = order
         self._level = None
 
+    def __reduce__(self):
+        # the packed level is a cache, rebuilt on demand
+        return GroebnerBasis, (self.generators, self.order)
+
     def __len__(self):
         return len(self.generators)
 

@@ -48,6 +48,10 @@ class MonomialOrder:
             raise ValueError("weighted order needs weights")
         object.__setattr__(self, "key", self._build_key())
 
+    def __reduce__(self):
+        # the key is a closure, which does not pickle; it is rebuilt
+        return MonomialOrder, (self.kind, self.nvars, self.perm, self.weights)
+
     # ---- constructors -------------------------------------------------
 
     @classmethod

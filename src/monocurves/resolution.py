@@ -47,6 +47,9 @@ class FreeModuleElement:
     def __setattr__(self, name, value):
         raise AttributeError("FreeModuleElement is immutable")
 
+    def __reduce__(self):
+        return FreeModuleElement, (self.coordinates, self.shifts)
+
     def __bool__(self):
         return any(self.coordinates)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 
@@ -16,17 +17,6 @@ def _closure_table(gens, bound: int) -> bytearray:
                 reach[i] = 1
                 break
     return reach
-
-
-def _minimal_system(gens: list[int]) -> tuple[int, ...]:
-    # ascending scan: a generator is redundant iff the smaller kept ones
-    # already represent it (larger generators cannot occur in a representation)
-    kept: list[int] = []
-    for g in sorted(set(gens)):
-        if kept and _closure_table(kept, g)[g]:
-            continue
-        kept.append(g)
-    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -51,11 +41,14 @@ class SemigroupInvariants:
 class NumericalSemigroup:
     """Additively closed subset of N with 0 and finite complement.
 
-    Immutable; the membership table through the conductor is built at
-    construction, so instances are safe to share across threads.
+    Held as its Apéry set Ap(S, m) = (w_0, ..., w_{m-1}), w_r the least
+    element of S congruent to r mod the multiplicity m, so x is in S
+    exactly when x >= w_(x mod m), and every invariant is a formula on the
+    m integers (Rosales and García-Sánchez, Numerical Semigroups, ch. 1-4).
+    Immutable, so instances are safe to share across threads.
     """
 
-    __slots__ = ("minimal_generators", "frobenius", "conductor", "_table")
+    __slots__ = ("minimal_generators", "frobenius", "conductor", "_apery")
 
     def __init__(self, generators):
         gens = list(generators)
@@ -63,27 +56,26 @@ class NumericalSemigroup:
             raise ValueError("empty generating set")
         if any(not isinstance(g, int) or isinstance(g, bool) or g < 1 for g in gens):
             raise ValueError("generators must be positive integers")
-        g = 0
-        for x in gens:
-            g = gcd(g, x)
-        if g != 1:
+        if gcd(*gens) != 1:
             raise ValueError("not a numerical semigroup (gcd of generators is not 1)")
-        mins = _minimal_system(gens)
+        m = min(gens)
+        # m * max(gens) exceeds the classical bound (m - 1)(max - 1) on the
+        # conductor, so the table holds the least element of every class
+        reach = _closure_table(gens, m * max(gens))
+        apery = tuple(r + m * reach[r::m].index(1) for r in range(m))
+        # g is minimal unless it splits as x + (g - x) with both parts in S
+        mins = tuple(g for g in sorted(set(gens))
+                     if not any(reach[x] and reach[g - x] for x in range(1, g // 2 + 1)))
         object.__setattr__(self, "minimal_generators", mins)
-        if mins == (1,):
-            frob, cond, table = -1, 0, (True,)
-        else:
-            bound = mins[0] * mins[-1]  # classical upper bound for the conductor
-            reach = _closure_table(mins, bound)
-            frob = max(i for i in range(bound + 1) if not reach[i])
-            cond = frob + 1
-            table = tuple(bool(reach[i]) for i in range(cond + 1))
-        object.__setattr__(self, "frobenius", frob)
-        object.__setattr__(self, "conductor", cond)
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "frobenius", max(apery) - m)  # Brauer and Shockley
+        object.__setattr__(self, "conductor", max(apery) - m + 1)
+        object.__setattr__(self, "_apery", apery)
 
     def __setattr__(self, name, value):
         raise AttributeError("NumericalSemigroup is immutable")
+
+    def __reduce__(self):
+        return NumericalSemigroup, (self.minimal_generators,)
 
     def __repr__(self):
         return f"NumericalSemigroup{self.minimal_generators}"
@@ -104,14 +96,11 @@ class NumericalSemigroup:
         return len(self.minimal_generators)
 
     def contains(self, x: int) -> bool:
-        if x < 0:
-            return False
-        if x >= self.conductor:
-            return True
-        return self._table[x]
+        # a negative x lies below every w_r
+        apery = self._apery
+        return x >= apery[x % len(apery)]
 
-    def __contains__(self, x):
-        return self.contains(x)
+    __contains__ = contains
 
     def apery_set(self, a: int) -> AperySet:
         """Apéry set with respect to a nonzero element a of the semigroup."""
@@ -126,17 +115,18 @@ class NumericalSemigroup:
         return AperySet(a, frozenset(elems))
 
     def gaps(self) -> frozenset[int]:
-        return frozenset(x for x in range(self.conductor) if not self._table[x])
+        # the gaps of class r are r, r + m, ..., w_r - m
+        m = len(self._apery)
+        return frozenset(chain.from_iterable(range(r, w, m) for r, w in enumerate(self._apery)))
 
     def is_symmetric(self) -> bool:
-        # gaps lie in 0..F; N itself (F = -1, no gaps) is symmetric
-        frob = self.frobenius
-        if frob % 2 == 0:
-            return False
-        return all(self.contains(frob - x) for x in self.gaps())
+        # S is symmetric exactly when it has (F + 1) / 2 gaps
+        return 2 * self.genus() == self.conductor
 
     def genus(self) -> int:
-        return sum(1 for x in range(self.conductor) if not self._table[x])
+        # class r holds w_r // m gaps (Selmer)
+        m = len(self._apery)
+        return sum(w // m for w in self._apery)
 
     def basic_invariants(self) -> SemigroupInvariants:
         return SemigroupInvariants(

@@ -105,10 +105,7 @@ def parametrization_kernel(exponents: Sequence[int],
     exponents = tuple(exponents)
     if not exponents or any(not isinstance(n, int) or n < 1 for n in exponents):
         raise ValueError("exponents must be positive integers")
-    g = 0
-    for n in exponents:
-        g = gcd(g, n)
-    if g != 1:
+    if gcd(*exponents) != 1:
         raise ValueError("exponents must have gcd 1")
     if variables is None:
         variables = tuple(f"x{i}" for i in range(len(exponents)))

@@ -71,6 +71,17 @@ def test_groebner_orders(capsys):
     assert b["order"]["kind"] == "lex"
 
 
+def test_groebner_perm(capsys):
+    payload = run_json(capsys, "groebner", "3", "5", "7", "--order", "lex", "--perm", "2,1,0")
+    assert payload["order"] == {"kind": "lex", "perm": [2, 1, 0], "weights": None}
+    assert payload["basis"] == ["-x0^5 + x1^3", "x0*x2 - x1^2", "-x0^4 + x1*x2",
+                                "-x0^3*x1 + x2^2"]
+    assert run(capsys, "groebner", "3", "5", "7", "--perm", "0,1") == (
+        1, "", "error: perm must permute 0..2, got (0, 1)\n")
+    assert run(capsys, "groebner", "3", "5", "7", "--perm", "a") == (
+        1, "", "error: --perm wants comma-separated variable indices, got 'a'\n")
+
+
 def test_resolution(capsys):
     payload = run_json(capsys, "resolution", "3", "5", "7")
     assert payload["ranks"] == [1, 3, 2]

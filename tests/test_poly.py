@@ -6,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monocurves import (MonomialOrder, Polynomial, buchberger, divide, free_resolution,
-                        parametrization_kernel, parse_polynomial, poly_to_str,
-                        reduce_basis, s_polynomial)
+from monocurves import (FreeModuleElement, GroebnerBasis, MonomialOrder,
+                        NumericalSemigroup, Polynomial, bresinsky_sequence, buchberger,
+                        concatenation_semigroup, derivation_rank, divide,
+                        free_resolution, monomial_curve, parametrization_kernel,
+                        parse_polynomial, poly_to_str, reduce_basis, s_polynomial,
+                        verify_bresinsky)
 
 XY = ("x0", "x1")
 LEX2 = MonomialOrder.lex(2)
@@ -155,6 +158,38 @@ def test_engine_binomials_arrive_with_their_lead():
     gb = reduce_basis(buchberger(pres.generators, grevlex))
     assert sorted(u for u in calls if sum(u) != 1) == sorted(kernel_terms)
     assert all(g.leading(grevlex) == (max(g.terms, key=grevlex.key), 1) for g in gb)
+
+
+def test_public_values_pickle():
+    # each public value type survives a pickle round trip; caches (a
+    # remembered lead, an order's key, a basis's packed level) are rebuilt
+    orders = [MonomialOrder.lex(2), MonomialOrder.grlex(3, perm=(2, 0, 1)),
+              MonomialOrder.grevlex(2), MonomialOrder.weighted((3, 5), perm=(1, 0))]
+    for order in orders:
+        loaded = pickle.loads(pickle.dumps(order))
+        u = (2, 1, 3)[:order.nvars]
+        assert loaded == order and loaded.key(u) == order.key(u)
+
+    f = p("x0^2*x1 - 3*x1 + 1/2")
+    f.leading(LEX2)
+    pres = parametrization_kernel((3, 5, 7))
+    gb = GroebnerBasis(pres.generators, pres.order)
+    record = gb.transcript(0, 1)
+    loaded = pickle.loads(pickle.dumps(gb))
+    assert loaded.generators == gb.generators and loaded.order == gb.order
+    assert loaded.transcript(0, 1) == record
+
+    semigroup = NumericalSemigroup((3, 5, 7))
+    values = [f, pres, record, divide(f, [p("x1 - 1")], LEX2),
+              FreeModuleElement((f, p("x0")), (4, 2)), free_resolution(pres),
+              semigroup, NumericalSemigroup((1,)), semigroup.basic_invariants(),
+              semigroup.apery_set(5), derivation_rank(semigroup), monomial_curve((3, 5, 7)),
+              bresinsky_sequence(4), verify_bresinsky(bresinsky_sequence(4)),
+              *concatenation_semigroup(5, 3, 19, 3)]
+    for value in values:
+        assert pickle.loads(pickle.dumps(value)) == value, value
+    loaded = pickle.loads(pickle.dumps(semigroup))
+    assert (loaded.frobenius, loaded.gaps(), 4 in loaded) == (4, frozenset({1, 2, 4}), False)
 
 
 def test_ambient_mismatch():

@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
+from semigroup_oracle import invariants
 
 from monocurves import NumericalSemigroup, new_semigroup
 
@@ -160,3 +163,62 @@ def test_immutable_and_hashable():
         s.frobenius = 10
     assert s == NumericalSemigroup([3, 5, 7])
     assert len({s, new_semigroup([5, 3, 7])}) == 1
+
+
+# ---- the membership table as oracle -----------------------------------------
+
+def gcd_one_sets(below, sizes):
+    """Every gcd-1 set of ``sizes`` distinct generators in 1..below-1."""
+    return [gens for k in sizes for gens in combinations(range(1, below), k)
+            if gcd(*gens) == 1]
+
+
+def agrees_with_table(gens, *givens):
+    """The semigroup built from gens and from each other given sequence
+    reports every invariant of the table oracle."""
+    want = invariants(gens)
+    m, frob = want["multiplicity"], want["frobenius"]
+    for given in (gens, *givens):
+        s = NumericalSemigroup(given)
+        inv = s.basic_invariants()
+        got = (s.minimal_generators, s.frobenius, s.conductor, s.gaps(), s.genus(),
+               s.is_symmetric(), (inv.multiplicity, inv.embedding_dimension,
+                                  inv.frobenius, inv.conductor, inv.genus))
+        if got != (want["minimal_generators"], frob, want["conductor"], want["gaps"],
+                   want["genus"], want["symmetric"],
+                   (m, want["embedding_dimension"], frob, want["conductor"],
+                    want["genus"])):
+            return False
+        if any(s.contains(x) != want["contains"](x) for x in range(-m, frob + m + 2)):
+            return False
+        if any(s.apery_set(a).elements != want["apery"](a)
+               for a in {m, want["minimal_generators"][-1]}):
+            return False
+    return True
+
+
+def test_table_oracle_small_sets():
+    sets = gcd_one_sets(26, (1, 2, 3)) + gcd_one_sets(18, (4,))
+    assert len(sets) == 4522
+    assert [gens for gens in sets if not agrees_with_table(gens)] == []
+
+
+def test_table_oracle_given_out_of_order_and_redundant():
+    # reversed with a repeated generator, and with the redundant sum of the
+    # two smallest appended
+    sets = gcd_one_sets(21, (2, 3))
+    assert [gens for gens in sets
+            if not agrees_with_table(gens, gens[::-1] + gens[:1],
+                                     gens + (gens[0] + gens[1],))] == []
+
+
+@pytest.mark.slow
+def test_table_oracle_wide_sets():
+    sets = gcd_one_sets(41, (1, 2, 3)) + gcd_one_sets(26, (4,))
+    assert [gens for gens in sets if not agrees_with_table(gens)] == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("gens", [(1001, 1003, 1013), (3001, 3007, 3011)])
+def test_table_oracle_large(gens):
+    assert agrees_with_table(gens)
