@@ -22,6 +22,8 @@ SCHEMA = "monocurves/1"
 DEFAULT_MAX_VARS = 6
 DEFAULT_MAX_CONDUCTOR = 10_000
 DEFAULT_MAX_GB = 5000
+_GUARDS = {"--max-vars": DEFAULT_MAX_VARS, "--max-conductor": DEFAULT_MAX_CONDUCTOR,
+           "--max-gb": DEFAULT_MAX_GB}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,6 +40,10 @@ def _guard(ok: bool, what: str):
 def _check_guards(gens, args):
     _guard(len(gens) <= args.max_vars,
            f"{len(gens)} variables exceed the bound {args.max_vars}")
+    _check_conductor(gens, args)
+
+
+def _check_conductor(gens, args):
     if len(gens) > 1:
         # conductor is bounded by n0 * np; cheap to test before any table is built
         _guard(min(gens) * max(gens) <= args.max_conductor,
@@ -162,7 +168,7 @@ def _cmd_betti(args):
 
 def _cmd_bresinsky(args):
     inst = bresinsky_sequence(args.q2)
-    _check_guards(inst.n, args)
+    _check_conductor(inst.n, args)
     payload = {
         "q2": inst.q2, "q1": inst.q1, "d1": inst.d1, "n": list(inst.n),
         "generators": [str(g) for g in bresinsky_generators(inst)],
@@ -243,16 +249,18 @@ def build_parser() -> argparse.ArgumentParser:
                                  "Groebner bases and free resolutions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, gens=True):
+    def common(p, gens=True, guards=_GUARDS):
         if gens:
             p.add_argument("generators", nargs="+", type=int,
                            help="semigroup generators")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-vars", type=int, default=DEFAULT_MAX_VARS)
-        p.add_argument("--max-conductor", type=int, default=DEFAULT_MAX_CONDUCTOR)
-        p.add_argument("--max-gb", type=int, default=DEFAULT_MAX_GB)
+        for flag in guards:
+            p.add_argument(flag, type=int, default=_GUARDS[flag])
 
-    common(sub.add_parser("semigroup", help="invariants, gaps, symmetry"))
+    # a command takes only the guards it reads: no Groebner basis is built by
+    # semigroup and derivations, and a Bresinsky curve always has 4 variables
+    common(sub.add_parser("semigroup", help="invariants, gaps, symmetry"),
+           guards=("--max-vars", "--max-conductor"))
     common(sub.add_parser("ideal", help="minimal generators of the defining ideal"))
 
     p = sub.add_parser("groebner", help="reduced Groebner basis of the defining ideal")
@@ -268,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("betti", help="Betti numbers of the defining ideal"))
 
     p = sub.add_parser("bresinsky", help="Bresinsky instance and verification")
-    common(p, gens=False)
+    common(p, gens=False, guards=("--max-conductor", "--max-gb"))
     p.add_argument("--q2", type=int, required=True)
     p.add_argument("--verify", action="store_true")
 
@@ -280,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="value or range lo:hi")
     p.add_argument("--p", type=int, default=3)
 
-    common(sub.add_parser("derivations", help="Kraft data of the derivation module"))
+    common(sub.add_parser("derivations", help="Kraft data of the derivation module"),
+           guards=("--max-vars", "--max-conductor"))
 
     p = sub.add_parser("homogenize", help="homogenized Groebner basis (projective closure)")
     common(p)

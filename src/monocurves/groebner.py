@@ -372,32 +372,6 @@ def _widening(degree: int, attempt):
             bits *= 2
 
 
-def _complete(basis: list[Polynomial], order: MonomialOrder, first: int,
-              max_basis: int | None = None, bound=None) -> None:
-    """_complete_with on monic Polynomials: each S-polynomial is divided
-    by the basis and a nonzero remainder joins it made monic."""
-    known = len(basis)
-
-    def reduce(i, j, lcm):
-        s = s_polynomial(basis[i], basis[j], order)
-        r = divide(s, basis, order).remainder if s else s
-        return r.monic(order) if r else None
-
-    def attempt(bits):
-        codec = MonomialCodec(order.nvars, bits)
-
-        def lead(g):
-            exp = g.leading(order)[0]
-            if sum(exp) >= codec.limit:
-                raise _overflow()
-            return codec.pack(0, exp)
-
-        del basis[known:]
-        _complete_with(basis, lead, reduce, first, codec, max_basis, bound)
-
-    _widening(max(sum(g.leading(order)[0]) for g in basis), attempt)
-
-
 # ---- the binomial engine ----------------------------------------------------
 
 def binomial_pairs(polys) -> list[tuple[tuple[int, ...], tuple[int, ...]]] | None:
@@ -468,9 +442,10 @@ class PackedBinomials:
     OverflowError otherwise, which ``_widening`` answers by a rerun.
     """
 
-    __slots__ = ("codec", "coeffs", "basis")
+    __slots__ = ("order", "codec", "coeffs", "basis")
 
     def __init__(self, order: MonomialOrder, bits: int, pairs=()):
+        self.order = order
         self.codec = MonomialCodec(order.nvars, bits)
         self.coeffs = order.integer_key([self.codec.limit] * order.nvars)
         self.basis = [self.element(u, v) for u, v in pairs]
@@ -495,6 +470,9 @@ class PackedBinomials:
         """The elements as (lead, tail) exponent vectors."""
         exponents = self.codec.exponents
         return [(exponents(lead), exponents(tail)) for lead, tail, _, _ in self.basis]
+
+    def polynomials(self, variables) -> list[Polynomial]:
+        return binomial_polynomials(variables, self.pairs(), self.order)
 
     def contains(self, g) -> bool:
         """True when the element g reduces to zero: its terms' normal forms meet."""
@@ -543,16 +521,6 @@ def binomial_run(pairs, order: MonomialOrder, run):
                      lambda bits: run(PackedBinomials(order, bits, pairs)))
 
 
-def _completed(max_basis, binomials: PackedBinomials):
-    binomials.complete(max_basis=max_basis)
-    return binomials.pairs()
-
-
-def _reduced(binomials: PackedBinomials):
-    binomials.reduce()
-    return binomials.pairs()
-
-
 def binomial_polynomials(variables, pairs, order: MonomialOrder) -> list[Polynomial]:
     """The monic binomials x^lead - x^tail of the engine's (lead, tail) pairs
     under order, each lead remembered: the engine ranks as ``order.key`` does."""
@@ -560,6 +528,67 @@ def binomial_polynomials(variables, pairs, order: MonomialOrder) -> list[Polynom
     for g, (lead, _) in zip(polys, pairs):
         _set_lead(g, (order, lead, 1))
     return polys
+
+
+# ---- any other input, and one code path per operation -----------------------
+
+class PolynomialBasis:
+    """Monic Polynomials under one order, with the methods of
+    ``PackedBinomials``, for input that is not all pure binomials.  The pair
+    queue runs on the leads packed by ``codec``; S-polynomials are reduced
+    by ``divide``.  A lead of total degree codec.limit raises OverflowError."""
+
+    __slots__ = ("order", "codec", "basis")
+
+    def __init__(self, order: MonomialOrder, bits: int, polys=()):
+        self.order = order
+        self.codec = MonomialCodec(order.nvars, bits)
+        self.basis = [g.monic(order) for g in polys]
+
+    def polynomials(self, variables) -> list[Polynomial]:
+        return list(self.basis)
+
+    def contains(self, g: Polynomial) -> bool:
+        """True when g reduces to zero on division by the basis."""
+        return not divide(g, self.basis, self.order).remainder
+
+    def _lead(self, g: Polynomial) -> int:
+        exp = g.leading(self.order)[0]
+        if sum(exp) >= self.codec.limit:
+            raise _overflow()
+        return self.codec.pack(0, exp)
+
+    def _remainder(self, i: int, j: int, lcm: int):
+        """The monic remainder of the S-polynomial (i, j), or None."""
+        s = s_polynomial(self.basis[i], self.basis[j], self.order)
+        r = divide(s, self.basis, self.order).remainder if s else s
+        return r.monic(self.order) if r else None
+
+    def complete(self, first: int = 0, max_basis: int | None = None, bound=None) -> None:
+        """Complete the basis in place through the one pair queue."""
+        _complete_with(self.basis, self._lead, self._remainder, first, self.codec, max_basis, bound)
+
+    def reduce(self) -> None:
+        """Make the basis reduced, in the steps of ``PackedBinomials.reduce``."""
+        order = self.order
+        kept: list[Polynomial] = []
+        for g in sorted(self.basis, key=lambda g: order.key(g.leading(order)[0])):
+            lead = g.leading(order)[0]
+            if not any(exp_divides(h.leading(order)[0], lead) for h in kept):
+                kept.append(g)
+        for i in range(len(kept)):
+            kept[i] = divide(kept[i], kept[:i] + kept[i + 1:], order).remainder.monic(order)
+        self.basis = kept
+
+
+def basis_run(polys, order: MonomialOrder, run):
+    """run(basis) under ``_widening``, the width chosen from the largest term
+    degree: basis holds the polynomials, monic, as ``PackedBinomials`` when
+    each is a pure binomial, else as a ``PolynomialBasis``."""
+    pairs = binomial_pairs(polys)
+    return _widening(max((sum(e) for g in polys for e in g.terms), default=0),
+                     lambda bits: run(PolynomialBasis(order, bits, polys) if pairs is None
+                                      else PackedBinomials(order, bits, pairs)))
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
@@ -573,9 +602,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
     monomials are skipped: their S-polynomial always reduces to zero.  So
     is a pair (i, j) whose lcm another leading monomial lead_k divides once
     neither (i, k) nor (j, k) is still queued: Buchberger's chain criterion.
-    When every generator is a pure binomial c*(x^u - x^v) the completion
-    runs on the binomial engine, ``PackedBinomials``; it takes the steps of
-    the ``Polynomial`` loop that any other input runs.
+    The completion runs on the basis ``basis_run`` picks, and only the
+    completions become new Polynomials.
     """
     gens = list(gens)
     if not gens:
@@ -584,14 +612,14 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, *,
         raise ValueError("zero polynomial among generators")
     if any(g.variables != gens[0].variables for g in gens):
         raise ValueError("generators live in different ambients")
-    basis = [g.monic(order) for g in gens]
-    pairs = binomial_pairs(basis)
-    if pairs is not None:
-        done = binomial_run(pairs, order, partial(_completed, max_basis))
-        basis += binomial_polynomials(gens[0].variables, done[len(basis):], order)
-    else:
-        _complete(basis, order, 0, max_basis)
-    return GroebnerBasis(basis, order)
+    monic = [g.monic(order) for g in gens]
+
+    def completions(basis):
+        basis.complete(max_basis=max_basis)
+        del basis.basis[:len(monic)]
+        return basis.polynomials(gens[0].variables)
+
+    return GroebnerBasis(monic + basis_run(monic, order, completions), order)
 
 
 def is_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder):
@@ -606,32 +634,16 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 
 def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
-    """The reduced Groebner basis: monic, auto-reduced, sorted, unique.
-
-    A basis of pure binomials is reduced by the binomial engine, with the
-    steps of the ``Polynomial`` pass that any other basis runs.
-    """
-    order = gb.order
+    """The reduced Groebner basis: monic, auto-reduced, sorted, unique,
+    reduced on the basis ``basis_run`` picks."""
     if not gb.generators:
         return gb
-    pairs = binomial_pairs(gb.generators)
-    if pairs is not None:
-        done = binomial_run(pairs, order, _reduced)
-        return GroebnerBasis(binomial_polynomials(gb.generators[0].variables, done, order),
-                             order)
-    # drop generators whose leading monomial another one divides
-    kept: list[Polynomial] = []
-    for g in sorted(gb.generators, key=lambda g: order.key(g.leading(order)[0])):
-        lead = g.leading(order)[0]
-        if not any(exp_divides(h.leading(order)[0], lead) for h in kept):
-            kept.append(g)
-    # one tail-reduction pass: reduction never moves a leading monomial, so
-    # an element stays reduced when the others are reduced after it
-    for i in range(len(kept)):
-        others = kept[:i] + kept[i + 1:]
-        if others:
-            kept[i] = divide(kept[i], others, order).remainder.monic(order)
-    return GroebnerBasis(kept, order)
+
+    def reduced(basis):
+        basis.reduce()
+        return basis.polynomials(gb.generators[0].variables)
+
+    return GroebnerBasis(basis_run(gb.generators, gb.order, reduced), gb.order)
 
 
 def homogenize_basis(gb: GroebnerBasis, homvar: str = "h") -> list[Polynomial]:

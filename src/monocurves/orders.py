@@ -18,7 +18,7 @@ class MonomialOrder:
       lex       lexicographic along perm
       grlex     total degree first, ties lex along perm
       grevlex   total degree first, ties reverse-lex
-      weighted  weighted degree first (positive weights), ties reverse-lex
+      weighted  weighted degree first (positive int weights), ties reverse-lex
 
     Every kind is a total order with 1 as the least monomial and is
     compatible with multiplication, which is what division and Buchberger
@@ -42,8 +42,8 @@ class MonomialOrder:
         if self.weights is not None:
             if len(self.weights) != self.nvars:
                 raise ValueError("weights length must match variable count")
-            if any(w < 1 for w in self.weights):
-                raise ValueError("weights must be positive")
+            if any(type(w) is not int or w < 1 for w in self.weights):
+                raise ValueError("weights must be positive integers")
         if self.kind == "weighted" and self.weights is None:
             raise ValueError("weighted order needs weights")
         object.__setattr__(self, "key", self._build_key())

@@ -122,6 +122,11 @@ def _check_variables(variables) -> None:
         raise ValueError("variable names must be distinct")
 
 
+def _check_arity(order: MonomialOrder, variables) -> None:
+    if order.nvars != len(variables):
+        raise ValueError("order arity does not match ambient")
+
+
 class Polynomial:
     """Immutable sum of (rational coefficient, exponent vector) terms.
 
@@ -144,7 +149,7 @@ class Polynomial:
         n = len(variables)
         for exp, c in (terms or {}).items():
             exp = tuple(exp)
-            if len(exp) != n or any(e < 0 or not isinstance(e, int) for e in exp):
+            if len(exp) != n or any(type(e) is not int or e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for {n} variables")
             c = _coefficient(c)
             if c:
@@ -320,8 +325,7 @@ class Polynomial:
             return lead[1], lead[2]
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        if order.nvars != len(self.variables):
-            raise ValueError("order arity does not match ambient")
+        _check_arity(order, self.variables)
         exp = max(self.terms, key=order.key)
         c = self.terms[exp]
         _set_lead(self, (order, exp, c))
@@ -401,6 +405,7 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial],
     Deterministic: each step reduces by the first divisor whose leading
     monomial divides the current one.
     """
+    _check_arity(order, f.variables)
     divisors = list(divisors)
     if any(not g for g in divisors):
         raise ValueError("zero divisor")

@@ -7,10 +7,9 @@ from functools import partial
 from math import gcd
 from typing import Sequence
 
-from .groebner import (GroebnerBasis, PackedBinomials, _complete, binomial_pairs,
-                       binomial_polynomials, binomial_run)
+from .groebner import GroebnerBasis, PackedBinomials, basis_run, binomial_polynomials, binomial_run
 from .orders import MonomialOrder
-from .poly import Polynomial, _check_variables, divide, weighted_degree
+from .poly import Polynomial, _check_variables, weighted_degree
 from .semigroup import NumericalSemigroup
 
 
@@ -103,7 +102,7 @@ def parametrization_kernel(exponents: Sequence[int],
     The pairs become Polynomials once, at the end.
     """
     exponents = tuple(exponents)
-    if not exponents or any(not isinstance(n, int) or n < 1 for n in exponents):
+    if not exponents or any(type(n) is not int or n < 1 for n in exponents):
         raise ValueError("exponents must be positive integers")
     if gcd(*exponents) != 1:
         raise ValueError("exponents must have gcd 1")
@@ -159,33 +158,21 @@ def minimal_generators(pres: GradedIdealPresentation) -> GradedIdealPresentation
     ordered = sorted(pres.generators,
                      key=lambda g: (g.weighted_degree(weights), g.sort_key()))
     bound = (weights, max((g.weighted_degree(weights) for g in ordered), default=0))
-    pairs = binomial_pairs(ordered)
-    if pairs is not None:
-        kept = binomial_run(pairs, order, partial(_binomial_scan, bound))
-        retained = [ordered[k] for k in kept]
-    else:
-        retained = []
-        basis: list[Polynomial] = []
-        for g in ordered:
-            if basis and not divide(g, basis, order).remainder:
-                continue
-            retained.append(g)
-            basis.append(g.monic(order))
-            _complete(basis, order, len(basis) - 1, bound=bound)
-    return replace(pres, generators=tuple(retained), beta1=len(retained))
+    kept = basis_run(ordered, order, partial(_scan, bound))
+    return replace(pres, generators=tuple(ordered[k] for k in kept), beta1=len(kept))
 
 
-def _binomial_scan(bound, binomials: PackedBinomials) -> list[int]:
-    """The greedy scan of ``minimal_generators`` on the binomial engine:
+def _scan(bound, basis) -> list[int]:
+    """The greedy scan of ``minimal_generators`` on a basis of ``basis_run``:
     the indices of the elements it keeps, the basis grown along the scan."""
-    candidates, binomials.basis = binomials.basis, []
+    candidates, basis.basis = basis.basis, []
     kept = []
     for k, g in enumerate(candidates):
-        if binomials.basis and binomials.contains(g):
+        if basis.contains(g):
             continue
         kept.append(k)
-        binomials.basis.append(g)
-        binomials.complete(len(binomials.basis) - 1, bound=bound)
+        basis.basis.append(g)
+        basis.complete(len(basis.basis) - 1, bound=bound)
     return kept
 
 

@@ -2,15 +2,18 @@
 
 ``buchberger``, ``reduce_basis`` and ``minimal_generators`` run the packed
 binomial engine (``groebner.PackedBinomials``) exactly when every generator
-is a pure binomial c*(x^u - x^v).  Here the engine meets the ``Polynomial``
-loops of ``kernel_oracle``: equal bases under every kind of order, and an
-equal outcome for every ``max_basis`` bound.  Other input must stay on the
-``Polynomial`` path with its old output, the engine takes any exponent, and
-a completion whose exponents outgrow their fields must give the output of
-one that fits, as must every other packed structure.
+is a pure binomial c*(x^u - x^v), and a ``groebner.PolynomialBasis``
+otherwise.  Here the engine meets the ``Polynomial`` loops of
+``kernel_oracle`` and the same input forced onto a ``PolynomialBasis``:
+equal bases under every kind of order, and an equal outcome for every
+``max_basis`` bound.  Other input must stay off the engine with its old
+output, the engine takes any exponent, and a completion whose exponents
+outgrow their fields must give the output of one that fits, as must every
+other packed structure.
 """
 
 import random
+from contextlib import contextmanager
 from itertools import combinations
 from math import gcd
 
@@ -63,26 +66,49 @@ def engine_buchberger(gens, order, max_basis=None):
     return buchberger(gens, order, max_basis=max_basis).generators
 
 
+@contextmanager
+def on_polynomial_basis():
+    """Every input runs on a PolynomialBasis, binomial or not."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner_module, "binomial_pairs", lambda polys: None)
+        yield
+
+
 def assert_engine_matches(exponents, every_bound):
-    """Equal completions, reduced bases and minimal generators.  With
-    every_bound, under eight orders, both sides also run at each max_basis
-    k up to one past the basis size.  Else, under four, the oracle's
-    outcome at k is read off its full run: it raises when it appends to a
-    basis of k or more elements, so exactly when it appends at all and ends
-    with more than k."""
+    """Equal completions, reduced bases and minimal generators on three
+    sides: the engine, the oracle, and buchberger, reduce_basis and
+    minimal_generators with the input forced onto a PolynomialBasis.  With
+    every_bound, under eight orders, the engine and the oracle also run at
+    each max_basis k up to one past the basis size.  Else, under four, the
+    oracle's outcome at k is read off its full run: it raises when it
+    appends to a basis of k or more elements, so exactly when it appends at
+    all and ends with more than k.  The forced side runs at the last three
+    k, where the outcome turns."""
     pres = parametrization_kernel(exponents)
     gens = list(pres.generators)
     for order in orders(exponents, reversed_too=every_bound):
         engine = buchberger(gens, order)
         oracle = polynomial_buchberger(gens, order)
         assert engine.generators == tuple(oracle), (exponents, order)
-        assert reduce_basis(engine).generators == tuple(polynomial_reduce(oracle, order))
+        reduced = reduce_basis(engine).generators
+        assert reduced == tuple(polynomial_reduce(oracle, order))
+        with on_polynomial_basis():
+            forced = buchberger(gens, order)
+            assert forced.generators == engine.generators, (exponents, order)
+            assert reduce_basis(forced).generators == reduced, (exponents, order)
         for k in range(1, len(oracle) + 2):
             want = (outcome(polynomial_buchberger, gens, order, k) if every_bound
                     else f"Groebner basis exceeded {k} elements"
                     if len(gens) < len(oracle) > k else [str(g) for g in oracle])
             assert outcome(engine_buchberger, gens, order, k) == want, (exponents, order, k)
-    assert minimal_generators(pres).generators == restart_minimal_generators(pres), exponents
+            if k >= len(oracle) - 1:
+                with on_polynomial_basis():
+                    assert outcome(engine_buchberger, gens, order, k) == want, (
+                        exponents, order, k)
+    mingens = minimal_generators(pres).generators
+    assert mingens == restart_minimal_generators(pres), exponents
+    with on_polynomial_basis():
+        assert minimal_generators(pres).generators == mingens, exponents
 
 
 def test_engine_matches_polynomial_path_on_a_window():

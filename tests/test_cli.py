@@ -212,6 +212,21 @@ def test_guard_exit_code(capsys):
     assert "exceeded 2 elements" in err
 
 
+def test_no_command_takes_a_guard_it_does_not_read(capsys):
+    # semigroup and derivations build no Groebner basis, and a Bresinsky
+    # curve always has 4 variables
+    for argv, flag in [(("semigroup", "3", "5", "7", "--max-gb", "5"), "--max-gb"),
+                       (("derivations", "3", "5", "7", "--max-gb", "5"), "--max-gb"),
+                       (("bresinsky", "--q2", "4", "--max-vars", "6"), "--max-vars")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert f"unrecognized arguments: {flag}" in err, argv
+    code, _, err = run(capsys, "bresinsky", "--q2", "4", "--max-conductor", "10")
+    assert code == 2 and "conductor bound" in err
+    code, _, err = run(capsys, "bresinsky", "--q2", "4", "--verify", "--max-gb", "3")
+    assert code == 2 and "exceeded 3 elements" in err
+
+
 def test_broken_invariant_exit_code(capsys, monkeypatch):
     from monocurves import families
 

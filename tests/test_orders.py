@@ -92,6 +92,10 @@ def test_validation():
         MonomialOrder.lex(3, perm=(0, 1, 1))
     with pytest.raises(ValueError):
         MonomialOrder.weighted((1, 0, 2))
+    # weights are ints, never floats or bools, so integer keys stay exact
+    for weights in [(1.5, 2), (True, 2), (2.0, 3)]:
+        with pytest.raises(ValueError, match="weights must be positive integers"):
+            MonomialOrder.weighted(weights)
     with pytest.raises(ValueError):
         MonomialOrder("weighted", 3, (0, 1, 2))
     with pytest.raises(ValueError):

@@ -41,6 +41,10 @@ def test_canonical_form():
     assert h == p("x0 + 1/2*x1 + 2")
     with pytest.raises(ValueError, match=r"bad exponent vector \(1,\) for 2 variables"):
         Polynomial(XY, {(1,): 1})
+    # a non-integer or bool exponent is a bad vector too, never a TypeError
+    for exp in [("a", 1), (True, 1)]:
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            Polynomial(XY, {exp: 1})
 
 
 def test_zero_and_equality():
@@ -229,6 +233,12 @@ def test_divide_no_divisible_lead():
 def test_divide_zero_divisor_rejected():
     with pytest.raises(ValueError):
         divide(p("x0"), [Polynomial.zero(XY)], LEX2)
+
+
+def test_divide_checks_the_order_arity_first():
+    for f in (p("x0*x1"), Polynomial.zero(XY)):
+        with pytest.raises(ValueError, match="order arity does not match ambient"):
+            divide(f, [], MonomialOrder.lex(3))
 
 
 def test_division_reconstruction_random():

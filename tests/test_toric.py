@@ -131,6 +131,10 @@ def test_kernel_validation():
         parametrization_kernel(())
     with pytest.raises(ValueError):
         parametrization_kernel((2, 3), ("x0",))
+    # bools and floats are refused, as NumericalSemigroup refuses them
+    for bad in [(True, 2), (2, True, 5)]:
+        with pytest.raises(ValueError, match="exponents must be positive integers"):
+            parametrization_kernel(bad)
     # every printed generator must read back through parse_polynomial
     for bad in [("y", "z-1", "2"), ("x0", "x1", "x0"), ("x", "y", ""),
                 ("x", "y", "z_1"), ("x", "y", 3)]:
