@@ -1,4 +1,4 @@
-"""Minimal generator count of the derivation module from gap combinatorics."""
+"""Minimal generator count of the derivation module from the Apéry set."""
 
 from __future__ import annotations
 
@@ -10,13 +10,19 @@ from .semigroup import NumericalSemigroup
 def delta_prime(semigroup: NumericalSemigroup) -> frozenset[int]:
     """Gaps a with a + s in the semigroup for every nonzero element s.
 
-    Checking a + n_i over the minimal generators n_i suffices: any nonzero
-    element s is n_i + s' with s' in the semigroup, so a + s = (a + n_i) + s'
-    stays inside once all a + n_i do.
+    Δ′ = PF(S) read off Ap(S, m): the w - m for the w != 0 of Ap(S, m)
+    that are maximal under <=_S, that is w - m + n in S for every minimal
+    generator n (Rosales and García-Sánchez, Numerical Semigroups,
+    Prop. 2.20).  These are the gaps of the definition: a gap a has
+    a + m in S exactly when a + m is in Ap(S, m), and checking a + n over
+    the minimal generators suffices, since any nonzero s is n + s' with
+    s' in S.  O(m * e) membership tests and no gap list.
     """
-    gens = semigroup.minimal_generators
-    return frozenset(a for a in semigroup.gaps()
-                     if all(semigroup.contains(a + n) for n in gens))
+    m = semigroup.multiplicity
+    gens = semigroup.minimal_generators[1:]  # w - m + m = w is in S
+    contains = semigroup.contains
+    return frozenset(w - m for w in semigroup.apery_set(m).elements
+                     if w and all(contains(w - m + n) for n in gens))
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,8 @@ class Polynomial:
     @classmethod
     def variable(cls, variables, i: int) -> "Polynomial":
         variables = tuple(variables)
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < len(variables):
+            raise ValueError(f"variable index {i!r} out of range for {len(variables)} variables")
         exp = tuple(1 if k == i else 0 for k in range(len(variables)))
         return cls(variables, {exp: 1})
 

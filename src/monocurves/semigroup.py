@@ -103,9 +103,17 @@ class NumericalSemigroup:
     __contains__ = contains
 
     def apery_set(self, a: int) -> AperySet:
-        """Apéry set with respect to a nonzero element a of the semigroup."""
-        if not isinstance(a, int) or a <= 0 or not self.contains(a):
+        """Apéry set with respect to a nonzero element a of the semigroup.
+
+        Ap(S, m) of the multiplicity m is the held one; any other a walks
+        its residue classes.
+        """
+        apery = self._apery
+        if (not isinstance(a, int) or isinstance(a, bool) or a <= 0
+                or a < apery[a % len(apery)]):
             raise ValueError(f"{a} is not a nonzero element of the semigroup")
+        if a == len(apery):
+            return AperySet(a, frozenset(apery))
         elems = []
         for r in range(a):
             s = r

@@ -4,8 +4,9 @@ The semigroup's invariants computed the way the library once computed
 them, by scanning a closure table: the minimal system by one table per
 generator, the Frobenius number as the last entry of the table through
 m * M that is not reached, the gaps and the genus by a scan up to the
-conductor, symmetry by pairing every gap a with F - a, and each Apéry set
-by walking its residue classes on the table.  It imports nothing from
+conductor, symmetry by pairing every gap a with F - a, each Apéry set
+by walking its residue classes on the table, and Δ′ by scanning the gaps
+a with a + n in S for every minimal generator n.  It imports nothing from
 ``src/`` or ``perfbench/``.
 """
 
@@ -65,6 +66,7 @@ def invariants(gens) -> dict:
         "genus": len(gaps),
         # N itself (F = -1, no gaps) is symmetric
         "symmetric": frob % 2 == 1 and all(contains(frob - a) for a in gaps),
+        "delta_prime": frozenset(a for a in gaps if all(contains(a + n) for n in mins)),
         "contains": contains,
         "apery": apery,
     }

@@ -1,7 +1,7 @@
 import random
 from math import gcd
 
-from monocurves import delta_prime, derivation_rank, new_semigroup
+from monocurves import NumericalSemigroup, delta_prime, derivation_rank, new_semigroup
 
 
 def brute_delta_prime(s):
@@ -65,3 +65,21 @@ def test_mu_one_only_for_naturals():
         assert data.delta_prime <= s.gaps()
         assert data.mu >= 1
         assert (data.mu == 1) == (s.minimal_generators == (1,)), gens
+
+
+def test_rank_is_read_off_the_held_apery_set(monkeypatch):
+    # the cost, not a timing: no gap list for the rank, and no membership
+    # walk for Ap(S, m); <1001,1003,1013> has about 86 000 gaps
+    s = new_semigroup([1001, 1003, 1013])
+
+    def refuse(*args):
+        raise AssertionError("walked the gaps or the residue classes")
+
+    monkeypatch.setattr(NumericalSemigroup, "gaps", refuse)
+    data = derivation_rank(s)
+    assert data.mu == 3 and max(data.delta_prime) == s.frobenius
+    monkeypatch.setattr(NumericalSemigroup, "contains", refuse)
+    monkeypatch.setattr(NumericalSemigroup, "__contains__", refuse)
+    ap = s.apery_set(1001)
+    assert ap.base == 1001 and {w % 1001 for w in ap.elements} == set(range(1001))
+    assert max(ap.elements) - 1001 == s.frobenius

@@ -362,6 +362,10 @@ def test_variable_names_must_read_back():
             Polynomial.variable(bad, 1)
         with pytest.raises(ValueError):
             parse_polynomial("1", bad)
+    # an index outside the ambient, or one that is not an int, names no variable
+    for i in [5, 2, -1, True, 1.0, "x"]:
+        with pytest.raises(ValueError, match="variable index .* out of range for 2 variables"):
+            Polynomial.variable(("x", "y"), i)
     f = Polynomial(("y", "z1"), {(1, 0): 1, (0, 2): -1})
     assert str(f) == "y - z1^2"
     assert parse_polynomial(str(f), f.variables) == f

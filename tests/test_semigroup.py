@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from semigroup_oracle import invariants
 
-from monocurves import NumericalSemigroup, new_semigroup
+from monocurves import NumericalSemigroup, derivation_rank, new_semigroup
 
 
 def brute_members(gens, bound):
@@ -112,6 +112,9 @@ def test_apery_errors():
         s.apery_set(0)
     with pytest.raises(ValueError):
         s.apery_set(-3)
+    # a bool is no element, as it is no generator, even where 1 is in S
+    with pytest.raises(ValueError, match="True is not a nonzero element"):
+        new_semigroup([1]).apery_set(True)
 
 
 def test_apery_properties():
@@ -193,6 +196,9 @@ def agrees_with_table(gens, *givens):
             return False
         if any(s.apery_set(a).elements != want["apery"](a)
                for a in {m, want["minimal_generators"][-1]}):
+            return False
+        kraft = derivation_rank(s)
+        if (kraft.delta_prime, kraft.mu) != (want["delta_prime"], len(want["delta_prime"]) + 1):
             return False
     return True
 
