@@ -10,7 +10,7 @@ from typing import Iterable
 from .groebner import ComputationLimitExceeded, buchberger
 from .orders import MonomialOrder
 from .poly import Polynomial
-from .resolution import free_resolution, minimalize
+from .resolution import _betti
 from .semigroup import NumericalSemigroup
 from .toric import eta_check, parametrization_kernel
 
@@ -103,7 +103,7 @@ def verify_bresinsky(inst: BresinskyInstance, *,
     generates = (all(not kernel_gb.normal_form(g) for g in gens)
                  and all(not s_gb.normal_form(g) for g in kernel.generators))
 
-    betti = tuple(minimalize(free_resolution(kernel)).betti)
+    betti = tuple(_betti(kernel))
     expected = (2 * inst.q2, 4 * (inst.q2 - 1), 2 * inst.q2 - 3)
     return BresinskyReport(generates, is_gb, betti == expected, betti, expected)
 
@@ -149,10 +149,10 @@ def concatenation_semigroup(a: int, d: int, b: int, p: int):
 
 def _curve_row(semigroup: NumericalSemigroup, *, max_basis: int | None = None) -> dict:
     pres = parametrization_kernel(semigroup.minimal_generators, max_basis=max_basis)
-    res = minimalize(free_resolution(pres))
+    betti = _betti(pres)
     return {
-        "beta": res.betti,
-        "beta1": res.betti[0],
+        "beta": betti,
+        "beta1": betti[0],
         "frobenius": semigroup.frobenius,
         "symmetric": semigroup.is_symmetric(),
         "eta_ok": eta_check(pres),

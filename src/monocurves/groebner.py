@@ -513,6 +513,29 @@ class PackedBinomials:
                         lead_key - k * c, tail_key - k * c))
         self.basis = out
 
+    def standard_count(self, i: int, limit: int) -> int:
+        """The number of monomials in the variables other than x_i that no
+        x_i-free lead divides, counted up to limit.
+
+        A depth-first walk multiplies a standard monomial by one variable at
+        a time, never by one of lower index than the last it added, so each
+        monomial is visited once; a multiple of a lead is not extended.
+        OverflowError when an exponent leaves its field."""
+        codec = self.codec
+        guard, shift, mask = codec.guard, i * codec.bits, codec.limit - 1
+        leads = [lead for lead, _, _, _ in self.basis if not (lead >> shift) & mask]
+        units = [1 << (j * codec.bits) for j in range(self.order.nvars) if j != i]
+        count, stack = 0, [(0, 0)]
+        while stack and count < limit:
+            m, first = stack.pop()
+            if m & guard:
+                raise _overflow()
+            high = m | guard
+            if not any((high - d) & guard == guard for d in leads):
+                count += 1
+                stack.extend((m + units[k], k) for k in range(first, len(units)))
+        return count
+
 
 def binomial_run(pairs, order: MonomialOrder, run):
     """run(PackedBinomials(order, bits, pairs)) under ``_widening``, the

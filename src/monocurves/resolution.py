@@ -408,6 +408,11 @@ def betti_numbers(curve, *, max_basis: int | None = None) -> list[int]:
     """Betti numbers beta_1, ..., beta_p of the curve's defining ideal."""
     if not isinstance(curve, MonomialCurve):
         curve = monomial_curve(tuple(curve))
-    pres = defining_ideal(curve, max_basis=max_basis)
-    res = free_resolution(pres)
-    return minimalize(res).betti
+    return _betti(defining_ideal(curve, max_basis=max_basis))
+
+
+def _betti(pres: GradedIdealPresentation) -> list[int]:
+    """The Betti numbers of the ideal of a Groebner presentation: the one
+    path to them, behind ``betti_numbers``, ``verify_bresinsky`` and the
+    rows of ``family_sweep``."""
+    return minimalize(free_resolution(pres)).betti

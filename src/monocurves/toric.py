@@ -84,22 +84,31 @@ def parametrization_kernel(exponents: Sequence[int],
     """Reduced Groebner basis of the kernel of x_i -> t^(exponents[i]).
 
     Works for any positive exponent assignment with gcd 1; the exponents
-    need not be sorted or distinct.  The kernel is the toric ideal of the
-    lattice L = {v : sum v_i n_i = 0}, the saturation of the ideal of the
-    binomials x^(v+) - x^(v-) of a lattice basis by the product of all
-    variables (Sturmfels, Groebner Bases and Convex Polytopes, ch. 12).
-    One variable at a time, the basis is completed under the weighted
-    grevlex order with weights n_i and x_i last, and x_i is divided out of
-    each element, which leaves a Groebner basis of the saturation by x_i
-    (Bayer and Stillman).  The last variable is x_p, so the last
-    completion already runs under the output order.  max_basis bounds
-    every intermediate basis (ComputationLimitExceeded).
+    need not be sorted or distinct.  The kernel I(S) is the toric ideal of
+    the lattice L = {v : sum v_i n_i = 0}, the saturation of the ideal I_B
+    of the binomials x^(v+) - x^(v-) of a lattice basis by the product of
+    all variables (Sturmfels, Groebner Bases and Convex Polytopes, ch. 12).
+    A saturation step by x_i completes the basis under the weighted grevlex
+    order with weights n_i and x_i last, then divides x_i out of each
+    element, which leaves a Groebner basis of the saturation by x_i (Bayer
+    and Stillman), and reduces it.  max_basis bounds every intermediate
+    basis (ComputationLimitExceeded).
+
+    The first step saturates by the variable x_low of least weight m.  Its
+    result J = I_B : x_low^oo is certified to be I(S) when exactly m
+    monomials in the other variables are divisible by no x_low-free lead:
+    x_low is a nonzerodivisor on R/J and on R/I(S), J lies in I(S), and
+    with x_low last in(J + (x_low)) = in(J) + (x_low), so R/(J, x_low) has
+    that many dimensions and maps onto R/(I(S), x_low) = k[S]/(t^m), which
+    has |Ap(S, m)| = m.  Equal dimensions give (J, x_low) = (I(S), x_low),
+    and graded Nakayama J = I(S).  The count is never below m and stops at
+    m + 1.  Once certified, one step by x_p, the last variable, completes
+    and reduces under the output order (none when x_low is x_p); otherwise
+    every other variable is saturated in turn, x_p last.
 
     Every ideal on the way is binomial, so each step runs on the binomial
-    engine of ``groebner`` (``PackedBinomials``): one completion through
-    the shared pair queue, the saturation and the reduction, with the steps,
-    the intermediate bases and the output of the same loop on Polynomials.
-    The pairs become Polynomials once, at the end.
+    engine of ``groebner`` (``PackedBinomials``), count included, under
+    ``_widening``.  The pairs become Polynomials once, at the end.
     """
     exponents = tuple(exponents)
     if not exponents or any(type(n) is not int or n < 1 for n in exponents):
@@ -115,22 +124,34 @@ def parametrization_kernel(exponents: Sequence[int],
         _check_variables(variables)
     pairs = [(tuple(max(a, 0) for a in v), tuple(max(-a, 0) for a in v))
              for v in _lattice_basis(exponents)]
-    nvars = len(exponents)
+    m = min(exponents)
+    low, last = exponents.index(m), len(exponents) - 1
+    pairs, count = _saturation(exponents, low, max_basis, m + 1, pairs)
+    rest = [] if count == m else [i for i in range(last) if i != low]
+    if rest or low != last:
+        rest.append(last)
+    for i in rest:
+        pairs, _ = _saturation(exponents, i, max_basis, 0, pairs)
     order = MonomialOrder.weighted(exponents)
-    for i in range(nvars):
-        step = order if i == nvars - 1 else MonomialOrder.weighted(
-            exponents, tuple(j for j in range(nvars) if j != i) + (i,))
-        pairs = binomial_run(pairs, step, partial(_saturation_step, i, max_basis))
     return GradedIdealPresentation(variables, exponents, order,
                                    tuple(binomial_polynomials(variables, pairs, order)))
 
 
-def _saturation_step(i: int, max_basis, binomials: PackedBinomials):
-    """Complete, divide x_i out, reduce: the reduced basis of the saturation by x_i."""
+def _saturation(exponents, i: int, max_basis, limit: int, pairs):
+    """The saturation step by x_i on the binomials pairs, under the weighted
+    grevlex order with x_i last: (the reduced basis, the count of its
+    standard monomials free of x_i up to limit)."""
+    nvars = len(exponents)
+    order = MonomialOrder.weighted(exponents, tuple(j for j in range(nvars) if j != i) + (i,))
+    return binomial_run(pairs, order, partial(_saturation_step, i, max_basis, limit))
+
+
+def _saturation_step(i: int, max_basis, limit: int, binomials: PackedBinomials):
+    """Complete, divide x_i out, reduce, count: the step of ``_saturation``."""
     binomials.complete(max_basis=max_basis)
     binomials.saturate(i)
     binomials.reduce()
-    return binomials.pairs()
+    return binomials.pairs(), binomials.standard_count(i, limit)
 
 
 def defining_ideal(curve: MonomialCurve, *,

@@ -8,8 +8,9 @@ n_i.  Slow, but independent of the lattice computation in
 
 ``polynomial_kernel``: the lattice loop of ``parametrization_kernel`` run on
 ``Polynomial`` objects, with S-polynomials and ``divide``.  It takes the
-same steps as the binomial engine, so it gives the same bases and the same
-``max_basis`` outcomes.
+same steps as the binomial engine, the certificate included, which it
+counts by its own scan of exponent tuples (``staircase_count``), so it
+gives the same bases and the same ``max_basis`` outcomes.
 
 ``restart_minimal_generators``: the greedy scan of ``minimal_generators``
 with the completion rerun from scratch after each generator it keeps.
@@ -131,9 +132,26 @@ def saturate(basis, i):
     return out
 
 
+def staircase_count(leads, i, nvars, limit):
+    """The number of exponent vectors with no x_i that no lead free of x_i
+    divides, counted up to limit: a breadth-first scan by total degree."""
+    leads = [lead for lead in leads if not lead[i]]
+    count, layer = 0, [(0,) * nvars]
+    while layer and count < limit:
+        layer = [u for u in layer if not any(exp_divides(lead, u) for lead in leads)]
+        count += len(layer)
+        layer = {u[:j] + (u[j] + 1,) + u[j + 1:]
+                 for u in layer for j in range(nvars) if j != i}
+    return min(count, limit)
+
+
 def polynomial_kernel(exponents, variables=None, max_basis=None):
     """(generators, order) of the reduced kernel basis, by the lattice loop
-    on Polynomials; ComputationLimitExceeded as parametrization_kernel."""
+    on Polynomials in the steps of parametrization_kernel: saturate by the
+    first variable of least weight m; when m standard monomials free of it
+    remain, finish by one step under the output order, else saturate by
+    every other variable, the last one last.  ComputationLimitExceeded as
+    parametrization_kernel."""
     exponents = tuple(exponents)
     if variables is None:
         variables = tuple(f"x{i}" for i in range(len(exponents)))
@@ -142,14 +160,25 @@ def polynomial_kernel(exponents, variables=None, max_basis=None):
                                          tuple(max(-a, 0) for a in v): -1})
              for v in _lattice_basis(exponents)]
     nvars = len(exponents)
-    order = MonomialOrder.weighted(exponents)
-    for i in range(nvars):
-        step = order if i == nvars - 1 else MonomialOrder.weighted(
+
+    def step(basis, i):
+        order = MonomialOrder.weighted(
             exponents, tuple(j for j in range(nvars) if j != i) + (i,))
-        basis = [b.monic(step) for b in basis]
-        polynomial_complete(basis, step, max_basis)
-        basis = polynomial_reduce(saturate(basis, i), step)
-    return tuple(basis), order
+        basis = [b.monic(order) for b in basis]
+        polynomial_complete(basis, order, max_basis)
+        basis = polynomial_reduce(saturate(basis, i), order)
+        return basis, [g.leading(order)[0] for g in basis]
+
+    m = min(exponents)
+    low, last = exponents.index(m), nvars - 1
+    basis, leads = step(basis, low)
+    if staircase_count(leads, low, nvars, m + 1) == m:
+        rest = [last] if low != last else []
+    else:
+        rest = [i for i in range(nvars) if i != low] + ([last] if low == last else [])
+    for i in rest:
+        basis, _ = step(basis, i)
+    return tuple(basis), MonomialOrder.weighted(exponents)
 
 
 def restart_minimal_generators(pres):

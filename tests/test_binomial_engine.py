@@ -14,11 +14,10 @@ other packed structure.
 
 import random
 from contextlib import contextmanager
-from itertools import combinations
-from math import gcd
 
 import pytest
 from kernel_oracle import polynomial_complete, polynomial_reduce, restart_minimal_generators
+from windows import window_curves
 
 import monocurves.groebner as groebner_module
 from monocurves import (ComputationLimitExceeded, GradedIdealPresentation, MonomialOrder,
@@ -26,13 +25,6 @@ from monocurves import (ComputationLimitExceeded, GradedIdealPresentation, Monom
                         minimal_generators, minimalize, parametrization_kernel,
                         parse_polynomial, reduce_basis, schreyer_syzygies)
 from monocurves.poly import weighted_degree
-
-
-def window_curves(multiplicities, dims):
-    """Every gcd-1 sequence m < n_1 < ... < n_(e-1) < 2m."""
-    return [(m,) + rest for m in multiplicities for e in dims
-            for rest in combinations(range(m + 1, 2 * m), e - 1)
-            if gcd(m, *rest) == 1]
 
 
 def orders(weights, reversed_too):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_oracle import elimination_kernel, polynomial_kernel, restart_minimal_generators
+from windows import window_curves
 
 import monocurves.groebner as groebner_module
 from monocurves import (ComputationLimitExceeded, GradedIdealPresentation,
@@ -180,10 +181,27 @@ def test_kernel_matches_elimination_oracle():
     assert [str(g) for g in assert_matches_oracle((1, 2), ("y", "z")).generators] == ["y^2 - z"]
 
 
-def test_bresinsky_kernel_matches_elimination_oracle():
+def test_bresinsky_kernel_matches_elimination_oracle(saturations):
+    # n puts the least weight last: certified by the step under the output order
     for q2 in (4, 6, 8):
         inst = bresinsky_sequence(q2)
+        saturations.clear()
         assert len(assert_matches_oracle(inst.n, inst.variables).generators) == 2 * q2
+        assert saturations == [3], q2
+
+
+def test_kernel_certified_or_falls_back(saturations):
+    # the first step saturates by the least weight; a certified kernel
+    # finishes under the output order, x_p last, and one that is not
+    # saturates by every other variable, x_p last even when it came first
+    for exponents, expected in [((3, 5, 7), [0, 2]), ((5, 3, 7), [1, 2]), ((5, 7, 3), [2]),
+                                ((7, 11, 12, 13), [0, 1, 2, 3]),
+                                ((8, 11, 13, 15), [0, 1, 2, 3]),
+                                ((5, 13, 14), [0, 1, 2]), ((13, 5, 14), [1, 0, 2]),
+                                ((13, 14, 5), [2, 0, 1, 2])]:
+        saturations.clear()
+        assert_matches_oracle(exponents)
+        assert saturations == expected, exponents
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
@@ -232,14 +250,6 @@ def test_kernel_matches_polynomial_oracle_at_every_max_basis():
        .filter(lambda ns: gcd(*ns) == 1))
 def test_kernel_matches_polynomial_oracle_property(exponents):
     assert_matches_polynomial_oracle(exponents)
-
-
-def window_curves(multiplicities, dims):
-    """Every gcd-1 sequence m < n_1 < ... < n_(e-1) < 2m: all minimal, as
-    a sum of two generators is at least 2m."""
-    return [(m,) + rest for m in multiplicities for e in dims
-            for rest in combinations(range(m + 1, 2 * m), e - 1)
-            if gcd(m, *rest) == 1]
 
 
 @pytest.mark.slow
