@@ -32,6 +32,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _bound(text: str) -> int:
+    """A guard flag's value: an int >= 0, else a usage error (exit 1)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _guard(ok: bool, what: str):
     if not ok:
         raise ComputationLimitExceeded(what)
@@ -255,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="semigroup generators")
         p.add_argument("--format", choices=("text", "json"), default="text")
         for flag in guards:
-            p.add_argument(flag, type=int, default=_GUARDS[flag])
+            p.add_argument(flag, type=_bound, default=_GUARDS[flag])
 
     # a command takes only the guards it reads: no Groebner basis is built by
     # semigroup and derivations, and a Bresinsky curve always has 4 variables

@@ -12,7 +12,7 @@ from .orders import MonomialOrder
 from .poly import Polynomial
 from .resolution import _betti
 from .semigroup import NumericalSemigroup
-from .toric import eta_check, parametrization_kernel
+from .toric import _certified_kernel, eta_check, parametrization_kernel
 
 _BRESINSKY_VARS = ("x1", "x2", "x3", "x4")
 
@@ -90,8 +90,9 @@ def verify_bresinsky(inst: BresinskyInstance, *,
     it equals the defining ideal (mutual reduction to zero), it is a
     Groebner basis under lex x3 > x2 > x1 > x4, and the minimalized
     resolution has Betti numbers (2*q2, 4*(q2-1), 2*q2-3).  The Betti
-    numbers come from the resolution of the kernel computed for the first
-    check, so the kernel is computed once.
+    numbers come from the kernel computed for the first check, so the
+    kernel is computed once: x4 has the least weight and comes last in
+    its order, so ``_betti`` resolves k[S]/(t^(q2*d1)) in x1, x2, x3.
     """
     gens = bresinsky_generators(inst)
     # buchberger appends to S exactly when some S-pair leaves a remainder
@@ -148,7 +149,9 @@ def concatenation_semigroup(a: int, d: int, b: int, p: int):
 
 
 def _curve_row(semigroup: NumericalSemigroup, *, max_basis: int | None = None) -> dict:
-    pres = parametrization_kernel(semigroup.minimal_generators, max_basis=max_basis)
+    # the certified kernel, before any step under the output order: the row
+    # reads only its Betti numbers and eta_check
+    pres = _certified_kernel(semigroup.minimal_generators, max_basis=max_basis)
     betti = _betti(pres)
     return {
         "beta": betti,

@@ -307,7 +307,12 @@ def _complete_with(basis: list, lead, reduce, first: int, codec: MonomialCodec,
     2^bits - 1, which sums the fields; that is exact because two leads of
     degree below codec.limit have an lcm of degree below 2^bits - 1.  The
     chain criterion is one divisibility test per lead.
+
+    max_basis, when not None, bounds the number of elements: an int >= 0,
+    ValueError for anything else, bools included.
     """
+    if max_basis is not None and (type(max_basis) is not int or max_basis < 0):
+        raise ValueError(f"max_basis must be None or an int >= 0, got {max_basis!r}")
     guard, exponents = codec.guard, codec.exponents
     top_bit = codec.bits - 1
     ones = guard >> top_bit

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .groebner import GroebnerBasis, PackedLevel, remainder_error
+from .orders import MonomialOrder
 from .poly import Polynomial, _inverse, exp_divides, exp_lcm, exp_sub, weighted_degree
-from .toric import GradedIdealPresentation, MonomialCurve, defining_ideal, monomial_curve
+from .toric import GradedIdealPresentation, MonomialCurve, _certified_kernel, monomial_curve
 
 
 # ---- free module elements --------------------------------------------------
@@ -405,14 +406,59 @@ def minimalize(res: GradedResolution) -> GradedResolution:
 
 
 def betti_numbers(curve, *, max_basis: int | None = None) -> list[int]:
-    """Betti numbers beta_1, ..., beta_p of the curve's defining ideal."""
+    """Betti numbers beta_1, ..., beta_p of the curve's defining ideal, read
+    off the Artinian reduction of the kernel that ``toric._certified_kernel``
+    certifies: one saturation for most curves, and no step under the output
+    order (``_betti``)."""
     if not isinstance(curve, MonomialCurve):
         curve = monomial_curve(tuple(curve))
-    return _betti(defining_ideal(curve, max_basis=max_basis))
+    return _betti(_certified_kernel(curve.exponents, curve.variables, max_basis))
 
 
 def _betti(pres: GradedIdealPresentation) -> list[int]:
-    """The Betti numbers of the ideal of a Groebner presentation: the one
-    path to them, behind ``betti_numbers``, ``verify_bresinsky`` and the
-    rows of ``family_sweep``."""
-    return minimalize(free_resolution(pres)).betti
+    """The Betti numbers of the ideal of a Groebner presentation, from its
+    Artinian reduction (``_artinian_resolution``): the one path to them,
+    behind ``betti_numbers``, ``verify_bresinsky`` and the rows of
+    ``family_sweep``."""
+    return _artinian_resolution(pres).betti
+
+
+def _artinian_resolution(pres: GradedIdealPresentation) -> GradedResolution:
+    """The minimal resolution of R/(I + (x_z)) over the polynomial ring in
+    the variables other than x_z, the last variable of ``pres.order``.
+
+    pres must hold a homogeneous minimal Groebner basis G of I under the
+    weighted grevlex order of its own weights (ValueError otherwise).  Then
+    x_z is a nonzerodivisor on R/I exactly when it divides no leading
+    monomial of G, which is checked (ValueError otherwise): with x_z last,
+    in(I + (x_z)) = in(I) + (x_z) and x_z is a nonzerodivisor on R/I iff on
+    R/in(I) (Bayer and Stillman).
+    So R/I and R/(I + (x_z)) have the same graded Betti numbers over their
+    polynomial rings (Bruns and Herzog, Cohen-Macaulay Rings, ch. 1), and G
+    with x_z set to 0 is a Groebner basis of (I + (x_z))/(x_z) under the
+    order restricted to the other variables, with the same leads: a mix of
+    binomials and monomials.  For the kernel of a monomial curve with x_z of
+    weight n_z this is k[S]/(t^(n_z)), of dimension n_z.
+    """
+    order, weights = pres.order, pres.weights
+    if order.kind != "weighted" or order.weights != weights:
+        raise ValueError("the Artinian reduction needs the weighted grevlex "
+                         "order of the presentation's weights")
+    z = order.perm[-1]
+    variables = pres.variables[:z] + pres.variables[z + 1:]
+    weights = weights[:z] + weights[z + 1:]
+    if not pres.generators:
+        # R/(x_z) itself, free over the ring of the other variables, if any
+        return GradedResolution([1], [[0]], [], variables, weights, minimal=True)
+    reduced = MonomialOrder.weighted(weights, tuple(j - (j > z) for j in order.perm[:-1]))
+    gens = []
+    for g in pres.generators:
+        if not g.is_weighted_homogeneous(pres.weights):
+            raise ValueError(f"non-homogeneous generator {g}")
+        if g.leading(order)[0][z]:
+            raise ValueError(f"{pres.variables[z]} divides the leading term of {g}: "
+                             "a zero divisor, or the basis is not minimal")
+        gens.append(Polynomial._raw(variables, {exp[:z] + exp[z + 1:]: c
+                                                for exp, c in g.terms.items() if not exp[z]}))
+    return minimalize(free_resolution(
+        GradedIdealPresentation(variables, weights, reduced, tuple(gens))))

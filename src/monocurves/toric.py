@@ -7,7 +7,8 @@ from functools import partial
 from math import gcd
 from typing import Sequence
 
-from .groebner import GroebnerBasis, PackedBinomials, basis_run, binomial_polynomials, binomial_run
+from .groebner import (GroebnerBasis, PackedBinomials, basis_run, binomial_pairs,
+                       binomial_polynomials, binomial_run)
 from .orders import MonomialOrder
 from .poly import Polynomial, _check_variables, weighted_degree
 from .semigroup import NumericalSemigroup
@@ -92,7 +93,31 @@ def parametrization_kernel(exponents: Sequence[int],
     order with weights n_i and x_i last, then divides x_i out of each
     element, which leaves a Groebner basis of the saturation by x_i (Bayer
     and Stillman), and reduces it.  max_basis bounds every intermediate
-    basis (ComputationLimitExceeded).
+    basis (ComputationLimitExceeded); a max_basis that is not None or an
+    int >= 0 raises ValueError.
+
+    ``_certified_kernel`` gives I(S) under the order with a certified
+    variable last; one more step by x_p, the last variable, completes and
+    reduces it under the output order, none when that variable is x_p.
+
+    Every ideal on the way is binomial, so each step runs on the binomial
+    engine of ``groebner`` (``PackedBinomials``), count included, under
+    ``_widening``.  The pairs become Polynomials at the end of each call.
+    """
+    pres = _certified_kernel(exponents, variables, max_basis)
+    order = MonomialOrder.weighted(pres.weights)
+    if pres.order == order:
+        return pres
+    pairs, _ = _saturation(pres.weights, order.nvars - 1, max_basis, 0,
+                           binomial_pairs(pres.generators))
+    return replace(pres, order=order,
+                   generators=tuple(binomial_polynomials(pres.variables, pairs, order)))
+
+
+def _certified_kernel(exponents: Sequence[int], variables: Sequence[str] | None = None,
+                      max_basis: int | None = None) -> GradedIdealPresentation:
+    """I(S), the kernel of ``parametrization_kernel``, as its reduced basis
+    under the weighted grevlex order with the certified variable x_z last.
 
     The first step saturates by the variable x_low of least weight m.  Its
     result J = I_B : x_low^oo is certified to be I(S) when exactly m
@@ -102,13 +127,10 @@ def parametrization_kernel(exponents: Sequence[int],
     that many dimensions and maps onto R/(I(S), x_low) = k[S]/(t^m), which
     has |Ap(S, m)| = m.  Equal dimensions give (J, x_low) = (I(S), x_low),
     and graded Nakayama J = I(S).  The count is never below m and stops at
-    m + 1.  Once certified, one step by x_p, the last variable, completes
-    and reduces under the output order (none when x_low is x_p); otherwise
-    every other variable is saturated in turn, x_p last.
-
-    Every ideal on the way is binomial, so each step runs on the binomial
-    engine of ``groebner`` (``PackedBinomials``), count included, under
-    ``_widening``.  The pairs become Polynomials once, at the end.
+    m + 1.  Then x_z is x_low.  Otherwise, unless x_low is x_p, the next
+    step saturates by x_p and is certified the same way, with n_p in place
+    of m.  Failing that, every variable other than x_low and x_p is
+    saturated in turn, and then x_p again.  After a fallback x_z is x_p.
     """
     exponents = tuple(exponents)
     if not exponents or any(type(n) is not int or n < 1 for n in exponents):
@@ -124,26 +146,32 @@ def parametrization_kernel(exponents: Sequence[int],
         _check_variables(variables)
     pairs = [(tuple(max(a, 0) for a in v), tuple(max(-a, 0) for a in v))
              for v in _lattice_basis(exponents)]
-    m = min(exponents)
-    low, last = exponents.index(m), len(exponents) - 1
-    pairs, count = _saturation(exponents, low, max_basis, m + 1, pairs)
-    rest = [] if count == m else [i for i in range(last) if i != low]
-    if rest or low != last:
-        rest.append(last)
-    for i in rest:
-        pairs, _ = _saturation(exponents, i, max_basis, 0, pairs)
-    order = MonomialOrder.weighted(exponents)
+    low, last = exponents.index(min(exponents)), len(exponents) - 1
+    z = low
+    pairs, count = _saturation(exponents, z, max_basis, exponents[z] + 1, pairs)
+    if count != exponents[z] and z != last:
+        z = last
+        pairs, count = _saturation(exponents, z, max_basis, exponents[z] + 1, pairs)
+    if count != exponents[z]:
+        for i in [i for i in range(last) if i != low] + [last]:
+            pairs, _ = _saturation(exponents, i, max_basis, 0, pairs)
+    order = _last_order(exponents, z)
     return GradedIdealPresentation(variables, exponents, order,
                                    tuple(binomial_polynomials(variables, pairs, order)))
+
+
+def _last_order(exponents, i: int) -> MonomialOrder:
+    """The weighted grevlex order of the exponents with x_i last."""
+    return MonomialOrder.weighted(
+        exponents, tuple(j for j in range(len(exponents)) if j != i) + (i,))
 
 
 def _saturation(exponents, i: int, max_basis, limit: int, pairs):
     """The saturation step by x_i on the binomials pairs, under the weighted
     grevlex order with x_i last: (the reduced basis, the count of its
     standard monomials free of x_i up to limit)."""
-    nvars = len(exponents)
-    order = MonomialOrder.weighted(exponents, tuple(j for j in range(nvars) if j != i) + (i,))
-    return binomial_run(pairs, order, partial(_saturation_step, i, max_basis, limit))
+    return binomial_run(pairs, _last_order(exponents, i),
+                        partial(_saturation_step, i, max_basis, limit))
 
 
 def _saturation_step(i: int, max_basis, limit: int, binomials: PackedBinomials):

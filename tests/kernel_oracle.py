@@ -148,10 +148,12 @@ def staircase_count(leads, i, nvars, limit):
 def polynomial_kernel(exponents, variables=None, max_basis=None):
     """(generators, order) of the reduced kernel basis, by the lattice loop
     on Polynomials in the steps of parametrization_kernel: saturate by the
-    first variable of least weight m; when m standard monomials free of it
-    remain, finish by one step under the output order, else saturate by
-    every other variable, the last one last.  ComputationLimitExceeded as
-    parametrization_kernel."""
+    first variable of least weight m; unless m standard monomials free of
+    it remain, saturate by the last variable and count n_p the same way
+    (skipped when the first variable was the last); unless that count
+    certifies, saturate by every other variable, the last one last.  Then
+    finish by one step under the output order unless the last step was by
+    the last variable.  ComputationLimitExceeded as parametrization_kernel."""
     exponents = tuple(exponents)
     if variables is None:
         variables = tuple(f"x{i}" for i in range(len(exponents)))
@@ -169,15 +171,20 @@ def polynomial_kernel(exponents, variables=None, max_basis=None):
         basis = polynomial_reduce(saturate(basis, i), order)
         return basis, [g.leading(order)[0] for g in basis]
 
-    m = min(exponents)
-    low, last = exponents.index(m), nvars - 1
-    basis, leads = step(basis, low)
-    if staircase_count(leads, low, nvars, m + 1) == m:
-        rest = [last] if low != last else []
-    else:
-        rest = [i for i in range(nvars) if i != low] + ([last] if low == last else [])
-    for i in rest:
-        basis, _ = step(basis, i)
+    def certified(leads, i):
+        return staircase_count(leads, i, nvars, exponents[i] + 1) == exponents[i]
+
+    low, last = exponents.index(min(exponents)), nvars - 1
+    z = low
+    basis, leads = step(basis, z)
+    if not certified(leads, z) and z != last:
+        z = last
+        basis, leads = step(basis, z)
+    if not certified(leads, z):
+        for i in [i for i in range(last) if i != low] + [last]:
+            basis, _ = step(basis, i)
+    if z != last:
+        basis, _ = step(basis, last)
     return tuple(basis), MonomialOrder.weighted(exponents)
 
 

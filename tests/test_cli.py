@@ -48,6 +48,8 @@ def test_output_is_deterministic(capsys):
 
 
 def test_betti(capsys):
+    # N itself has the zero ideal: its reduction has no variable left
+    assert run_json(capsys, "betti", "1")["betti"] == []
     assert run_json(capsys, "betti", "2", "3")["betti"] == [1]
     assert run_json(capsys, "betti", "3", "5", "7")["betti"] == [3, 2]
 
@@ -212,6 +214,24 @@ def test_guard_exit_code(capsys):
     assert "exceeded 2 elements" in err
 
 
+def test_negative_guards_are_usage_errors(capsys):
+    # a bound below 0 is malformed input (exit 1), not work over budget
+    for argv in [("betti", "3", "5", "7", "--max-gb", "-1"),
+                 ("betti", "3", "5", "7", "--max-vars", "-1"),
+                 ("semigroup", "3", "5", "7", "--max-conductor", "-1"),
+                 ("bresinsky", "--q2", "4", "--verify", "--max-gb", "-1"),
+                 ("concat-sweep", "--a", "5", "--d", "3", "--b", "19", "--max-vars", "-2")]:
+        code, out, err = run(capsys, *argv)
+        flag, value = argv[-2:]
+        assert (code, out) == (1, ""), argv
+        assert err.endswith(f"error: argument {flag}: must be at least 0, got {value}\n"), argv
+    code, _, err = run(capsys, "betti", "3", "5", "7", "--max-gb", "x")
+    assert code == 1 and "argument --max-gb: invalid int value: 'x'" in err
+    # 0 is a bound: the kernel of (3, 5, 7) exceeds it
+    code, _, err = run(capsys, "betti", "3", "5", "7", "--max-gb", "0")
+    assert code == 2 and "exceeded 0 elements" in err
+
+
 def test_no_command_takes_a_guard_it_does_not_read(capsys):
     # semigroup and derivations build no Groebner basis, and a Bresinsky
     # curve always has 4 variables
@@ -255,7 +275,9 @@ def test_duplicate_and_unsorted_input(capsys):
 
 def test_exponent_limit_exit_code(capsys):
     # x0^32769 - x1^2 leaves the 16-bit fields of the resolution, which
-    # reruns on wider ones
+    # reruns on wider ones; betti resolves its reduction x1^2 instead
+    payload = run_json(capsys, "resolution", "2", "32769", "--max-conductor", "70000")
+    assert payload["ranks"] == [1, 1] and payload["shifts"] == [[0], [65538]]
     code, out, err = run(capsys, "betti", "2", "32769", "--max-conductor", "70000")
     assert (code, out, err) == (0, "betti numbers: [1]\n", "")
     assert run_json(capsys, "betti", "2", "32767", "--max-conductor", "70000")["betti"] == [1]

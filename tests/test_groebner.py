@@ -257,6 +257,16 @@ def test_max_basis_guard():
         buchberger(gens, LEX2, max_basis=2)
 
 
+def test_max_basis_must_be_a_count():
+    # refused where the pair queue takes the bound, on either basis class
+    gens = [p("x0^4 - x1^3 + x0"), p("x0*x1^2 - x0^2 - 1")]
+    binomials = [p("x0^3 - x1^2"), p("x0*x1 - x1^2")]
+    for bad in (-1, True, 2.5, "3"):
+        for g in (gens, binomials):
+            with pytest.raises(ValueError, match="max_basis must be None or an int >= 0"):
+                buchberger(g, LEX2, max_basis=bad)
+
+
 def test_homogenize_simple():
     gb = buchberger([p("x0^3 - x1^2")], MonomialOrder.grevlex(2))
     hom = homogenize_basis(gb, "h")

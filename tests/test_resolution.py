@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
@@ -11,7 +12,8 @@ from monocurves import (FreeModuleElement, GradedResolution, MonomialOrder, Poly
                         buchberger, betti_numbers, free_resolution, minimal_generators,
                         minimalize, parametrization_kernel, parse_polynomial,
                         schreyer_syzygies)
-from monocurves.toric import GradedIdealPresentation
+from monocurves.resolution import _artinian_resolution
+from monocurves.toric import GradedIdealPresentation, _certified_kernel
 
 
 def test_koszul_syzygy():
@@ -313,14 +315,89 @@ def oracle_resolutions():
     return out
 
 
-def test_graded_betti_numbers_match_divisor_complex_oracle(oracle_resolutions):
-    from collections import Counter
-
+@pytest.fixture(scope="module")
+def divisor_complex_betti(oracle_resolutions):
+    """The oracle's graded Betti numbers of each oracle curve."""
     from betti_oracle import graded_betti
 
-    for gens, _, _, res in oracle_resolutions:
-        got = Counter((i, s) for i, level in enumerate(res.shifts) for s in level)
-        assert got == graded_betti(gens), gens
+    return [graded_betti(gens) for gens, _, _, _ in oracle_resolutions]
+
+
+def graded(res):
+    """{(i, s): beta_{i,s}} of a minimal resolution."""
+    return Counter((i, s) for i, level in enumerate(res.shifts) for s in level)
+
+
+def test_graded_betti_numbers_match_divisor_complex_oracle(oracle_resolutions,
+                                                           divisor_complex_betti):
+    for (gens, _, _, res), oracle in zip(oracle_resolutions, divisor_complex_betti):
+        assert graded(res) == oracle, gens
+
+
+def test_artinian_reduction_matches_divisor_complex_oracle(oracle_resolutions,
+                                                           divisor_complex_betti):
+    # the graded Betti numbers of k[S]/(t^m) over the other p variables,
+    # resolved from the kernel before any step under the output order
+    for (gens, _, _, _), oracle in zip(oracle_resolutions, divisor_complex_betti):
+        res = _artinian_resolution(_certified_kernel(gens))
+        assert len(res.variables) == len(gens) - 1 and res.minimal, gens
+        assert graded(res) == oracle, gens
+
+
+def assert_reduction_matches_full(exponents, variables=None):
+    """The reduced minimal resolution has the ranks and, level by level, the
+    shifts of the minimal resolution of I(S) itself."""
+    reduced = _artinian_resolution(_certified_kernel(exponents, variables))
+    full = minimalize(free_resolution(parametrization_kernel(exponents, variables)))
+    assert reduced.ranks == full.ranks, exponents
+    assert [sorted(level) for level in reduced.shifts] \
+        == [sorted(level) for level in full.shifts], exponents
+
+
+def test_artinian_reduction_matches_full_resolution():
+    from windows import window_curves
+
+    curves = window_curves(range(4, 9), (4,))
+    assert len(curves) == 69
+    for gens in curves:
+        assert_reduction_matches_full(gens)
+
+
+@pytest.mark.slow
+def test_artinian_reduction_matches_full_resolution_wide():
+    from windows import window_curves
+
+    from monocurves.families import bresinsky_sequence
+
+    curves = window_curves(range(4, 11), (4, 5, 6))
+    assert len(curves) == 666
+    for gens in curves:
+        assert_reduction_matches_full(gens)
+    for q2 in range(4, 26, 2):
+        inst = bresinsky_sequence(q2)
+        assert_reduction_matches_full(inst.n, inst.variables)
+
+
+def test_artinian_reduction_checks_its_input():
+    variables = ("x0", "x1")
+    gens = (parse_polynomial("x0^3 - x1^2", variables),)
+    weighted = MonomialOrder.weighted((2, 3))
+    # the kernel of (2, 3) reduces by x1, the last variable, to x0^3
+    res = _artinian_resolution(GradedIdealPresentation(variables, (2, 3), weighted, gens))
+    assert (res.variables, res.ranks, res.shifts) == (("x0",), [1, 1], [[0], [6]])
+    for order in [MonomialOrder.grevlex(2), MonomialOrder.weighted((3, 2))]:
+        with pytest.raises(ValueError, match="weighted grevlex order"):
+            _artinian_resolution(GradedIdealPresentation(variables, (2, 3), order, gens))
+    # x1 divides the lead x0*x1: a zero divisor on R/(x0*x1)
+    monomial = (parse_polynomial("x0*x1", variables),)
+    with pytest.raises(ValueError, match="x1 divides the leading term"):
+        _artinian_resolution(GradedIdealPresentation(variables, (2, 3), weighted, monomial))
+    bad = (parse_polynomial("x0^3 - x1", variables),)
+    with pytest.raises(ValueError, match="non-homogeneous"):
+        _artinian_resolution(GradedIdealPresentation(variables, (2, 3), weighted, bad))
+    # the zero ideal of N: nothing to resolve, in no variable
+    res = _artinian_resolution(parametrization_kernel((1,)))
+    assert (res.variables, res.ranks, res.betti) == ((), [1], [])
 
 
 def test_last_shifts_reach_the_oracle_scan_bound(oracle_resolutions):
@@ -466,8 +543,6 @@ def test_resolution_ranks_and_cancels_without_repeats(monkeypatch):
     # for no other; it runs once more on the last level, which has no pairs;
     # minimalize resumes its scan after each cancellation (248 965
     # _constant_value calls on this curve when it restarted)
-    from collections import Counter
-
     from monocurves import SchreyerOrder, resolution
 
     pres = parametrization_kernel(tuple(range(9, 16)))

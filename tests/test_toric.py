@@ -10,11 +10,12 @@ from windows import window_curves
 
 import monocurves.groebner as groebner_module
 from monocurves import (ComputationLimitExceeded, GradedIdealPresentation,
-                        Polynomial, bresinsky_sequence,
+                        Polynomial, bresinsky_sequence, buchberger,
                         defining_ideal, eta_check, minimal_generators,
                         monomial_curve, new_semigroup, parametrization_kernel,
-                        parse_polynomial)
+                        parse_polynomial, reduce_basis)
 from monocurves.poly import weighted_degree
+from monocurves.toric import _certified_kernel
 
 CURVES = [(2, 3), (3, 5, 7), (3, 4, 5), (4, 6, 7), (6, 10, 15), (5, 7, 9, 13)]
 
@@ -154,6 +155,18 @@ def test_kernel_max_basis_guard():
     assert len(parametrization_kernel((12, 15, 20, 23), max_basis=11).generators) == 10
 
 
+def test_kernel_refuses_bad_max_basis():
+    # bools, floats, strings and negative bounds are no element counts; 0
+    # is one, which every kernel with a completion step exceeds
+    for exponents in [(3, 5, 7), (1,)]:
+        for bad in (-1, True, 2.5, "3"):
+            with pytest.raises(ValueError, match="max_basis must be None or an int >= 0"):
+                parametrization_kernel(exponents, max_basis=bad)
+    with pytest.raises(ComputationLimitExceeded):
+        parametrization_kernel((3, 5, 7), max_basis=0)
+    assert parametrization_kernel((1,), max_basis=0).generators == ()
+
+
 def minimal_triples(top):
     return [(a, b, c) for c in range(4, top + 1) for b in range(3, c) for a in range(2, b)
             if gcd(gcd(a, b), c) == 1
@@ -191,17 +204,29 @@ def test_bresinsky_kernel_matches_elimination_oracle(saturations):
 
 
 def test_kernel_certified_or_falls_back(saturations):
-    # the first step saturates by the least weight; a certified kernel
-    # finishes under the output order, x_p last, and one that is not
-    # saturates by every other variable, x_p last even when it came first
-    for exponents, expected in [((3, 5, 7), [0, 2]), ((5, 3, 7), [1, 2]), ((5, 7, 3), [2]),
-                                ((7, 11, 12, 13), [0, 1, 2, 3]),
-                                ((8, 11, 13, 15), [0, 1, 2, 3]),
-                                ((5, 13, 14), [0, 1, 2]), ((13, 5, 14), [1, 0, 2]),
-                                ((13, 14, 5), [2, 0, 1, 2])]:
+    # the first step saturates by the least weight; unless that certifies,
+    # the next saturates by x_p and certifies it the same way; unless that
+    # certifies either, every other variable is saturated in turn, x_p last
+    # even when it came first.  The certified kernel ends with the certified
+    # variable last, and parametrization_kernel adds the step under the
+    # output order, x_p last, when that variable is not x_p.
+    for exponents, certified, steps in [((3, 5, 7), [0], [0, 2]), ((5, 3, 7), [1], [1, 2]),
+                                        ((5, 7, 3), [2], [2]),
+                                        ((7, 11, 12, 13), [0, 3, 1, 2, 3], [0, 3, 1, 2, 3]),
+                                        ((8, 11, 13, 15), [0, 3], [0, 3]),
+                                        ((5, 13, 14), [0, 2], [0, 2]),
+                                        ((13, 5, 14), [1, 2], [1, 2]),
+                                        ((13, 14, 5), [2, 0, 1, 2], [2, 0, 1, 2])]:
         saturations.clear()
-        assert_matches_oracle(exponents)
-        assert saturations == expected, exponents
+        pres = _certified_kernel(exponents)
+        assert saturations == certified, exponents
+        assert pres.order.perm[-1] == certified[-1], exponents
+        saturations.clear()
+        kernel = assert_matches_oracle(exponents)
+        assert saturations == steps, exponents
+        # the same ideal, under another order
+        assert reduce_basis(buchberger(pres.generators, kernel.order)).generators \
+            == kernel.generators, exponents
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
