@@ -12,7 +12,7 @@ from .orders import MonomialOrder
 from .poly import Polynomial
 from .resolution import _betti
 from .semigroup import NumericalSemigroup
-from .toric import _certified_kernel, eta_check, parametrization_kernel
+from .toric import _apery_kernel, eta_check, parametrization_kernel
 
 _BRESINSKY_VARS = ("x1", "x2", "x3", "x4")
 
@@ -149,9 +149,9 @@ def concatenation_semigroup(a: int, d: int, b: int, p: int):
 
 
 def _curve_row(semigroup: NumericalSemigroup, *, max_basis: int | None = None) -> dict:
-    # the certified kernel, before any step under the output order: the row
-    # reads only its Betti numbers and eta_check
-    pres = _certified_kernel(semigroup.minimal_generators, max_basis=max_basis)
+    # the kernel under its x_low order, before any step under the output
+    # order: the row reads only its Betti numbers and eta_check
+    pres = _apery_kernel(semigroup.minimal_generators, max_basis=max_basis)
     betti = _betti(pres)
     return {
         "beta": betti,

@@ -280,6 +280,12 @@ def remainder_error(i: int, j: int) -> ValueError:
     return ValueError(f"not a Groebner basis: pair ({i}, {j}) does not reduce to zero")
 
 
+def check_max_basis(max_basis) -> None:
+    """ValueError unless max_basis is None or an int >= 0, bools excluded."""
+    if max_basis is not None and (type(max_basis) is not int or max_basis < 0):
+        raise ValueError(f"max_basis must be None or an int >= 0, got {max_basis!r}")
+
+
 def _complete_with(basis: list, lead, reduce, first: int, codec: MonomialCodec,
                    max_basis: int | None = None, bound=None) -> None:
     """The one pair queue of Buchberger's algorithm, for any representation.
@@ -311,8 +317,7 @@ def _complete_with(basis: list, lead, reduce, first: int, codec: MonomialCodec,
     max_basis, when not None, bounds the number of elements: an int >= 0,
     ValueError for anything else, bools included.
     """
-    if max_basis is not None and (type(max_basis) is not int or max_basis < 0):
-        raise ValueError(f"max_basis must be None or an int >= 0, got {max_basis!r}")
+    check_max_basis(max_basis)
     guard, exponents = codec.guard, codec.exponents
     top_bit = codec.bits - 1
     ones = guard >> top_bit
@@ -506,40 +511,6 @@ class PackedBinomials:
             tail, tail_key = _normal_form(tail, tail_key, kept[:i] + kept[i + 1:], guard)
             kept[i] = (lead, tail, lead_key, tail_key)
         self.basis = kept
-
-    def saturate(self, i: int) -> None:
-        """Divide x_i out of every element: both terms lose the smaller of
-        their two powers of it, which keeps the lead leading."""
-        shift, mask, c = i * self.codec.bits, self.codec.limit - 1, self.coeffs[i]
-        out = []
-        for lead, tail, lead_key, tail_key in self.basis:
-            k = min((lead >> shift) & mask, (tail >> shift) & mask)
-            out.append((lead - (k << shift), tail - (k << shift),
-                        lead_key - k * c, tail_key - k * c))
-        self.basis = out
-
-    def standard_count(self, i: int, limit: int) -> int:
-        """The number of monomials in the variables other than x_i that no
-        x_i-free lead divides, counted up to limit.
-
-        A depth-first walk multiplies a standard monomial by one variable at
-        a time, never by one of lower index than the last it added, so each
-        monomial is visited once; a multiple of a lead is not extended.
-        OverflowError when an exponent leaves its field."""
-        codec = self.codec
-        guard, shift, mask = codec.guard, i * codec.bits, codec.limit - 1
-        leads = [lead for lead, _, _, _ in self.basis if not (lead >> shift) & mask]
-        units = [1 << (j * codec.bits) for j in range(self.order.nvars) if j != i]
-        count, stack = 0, [(0, 0)]
-        while stack and count < limit:
-            m, first = stack.pop()
-            if m & guard:
-                raise _overflow()
-            high = m | guard
-            if not any((high - d) & guard == guard for d in leads):
-                count += 1
-                stack.extend((m + units[k], k) for k in range(first, len(units)))
-        return count
 
 
 def binomial_run(pairs, order: MonomialOrder, run):

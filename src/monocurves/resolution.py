@@ -24,7 +24,7 @@ from typing import Sequence
 from .groebner import GroebnerBasis, PackedLevel, remainder_error
 from .orders import MonomialOrder
 from .poly import Polynomial, _inverse, exp_divides, exp_lcm, exp_sub, weighted_degree
-from .toric import GradedIdealPresentation, MonomialCurve, _certified_kernel, monomial_curve
+from .toric import GradedIdealPresentation, MonomialCurve, _apery_kernel, monomial_curve
 
 
 # ---- free module elements --------------------------------------------------
@@ -407,12 +407,11 @@ def minimalize(res: GradedResolution) -> GradedResolution:
 
 def betti_numbers(curve, *, max_basis: int | None = None) -> list[int]:
     """Betti numbers beta_1, ..., beta_p of the curve's defining ideal, read
-    off the Artinian reduction of the kernel that ``toric._certified_kernel``
-    certifies: one saturation for most curves, and no step under the output
-    order (``_betti``)."""
+    off the Artinian reduction of the kernel that ``toric._apery_kernel``
+    reads off Ap(S, m): no completion at all (``_betti``)."""
     if not isinstance(curve, MonomialCurve):
         curve = monomial_curve(tuple(curve))
-    return _betti(_certified_kernel(curve.exponents, curve.variables, max_basis))
+    return _betti(_apery_kernel(curve.exponents, curve.variables, max_basis))
 
 
 def _betti(pres: GradedIdealPresentation) -> list[int]:

@@ -1,14 +1,17 @@
-"""Defining ideals of monomial curves from their lattices, minimal generators."""
+"""Defining ideals of monomial curves read off their Apery sets, minimal
+generators."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 from functools import partial
 from math import gcd
+from operator import add
 from typing import Sequence
 
-from .groebner import (GroebnerBasis, PackedBinomials, basis_run, binomial_pairs,
-                       binomial_polynomials, binomial_run)
+from .groebner import (ComputationLimitExceeded, GroebnerBasis, PackedBinomials, basis_run,
+                       binomial_pairs, binomial_polynomials, binomial_run, check_max_basis)
 from .orders import MonomialOrder
 from .poly import Polynomial, _check_variables, weighted_degree
 from .semigroup import NumericalSemigroup
@@ -57,80 +60,64 @@ class GradedIdealPresentation:
         return GroebnerBasis(self.generators, self.order)
 
 
-def _lattice_basis(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """A basis of the lattice {v : sum v_i n_i = 0}.
-
-    Integer column operations (Euclid on the entries) reduce the row n to
-    a single entry gcd(n) = 1; the other columns of the unimodular matrix
-    that did it span the kernel.
-    """
-    n = len(exponents)
-    row = list(exponents)
-    cols = [[int(i == j) for i in range(n)] for j in range(n)]
-    live = list(range(n))
-    while len(live) > 1:
-        piv = min(live, key=lambda j: row[j])
-        for j in live:
-            if j != piv:
-                q = row[j] // row[piv]
-                row[j] -= q * row[piv]
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[piv])]
-        live = [j for j in live if row[j]]
-    return [tuple(cols[j]) for j in range(n) if j != live[0]]
-
-
 def parametrization_kernel(exponents: Sequence[int],
                            variables: Sequence[str] | None = None, *,
                            max_basis: int | None = None) -> GradedIdealPresentation:
-    """Reduced Groebner basis of the kernel of x_i -> t^(exponents[i]).
+    """Reduced Groebner basis of the kernel I(S) of x_i -> t^(exponents[i]).
 
     Works for any positive exponent assignment with gcd 1; the exponents
-    need not be sorted or distinct.  The kernel I(S) is the toric ideal of
-    the lattice L = {v : sum v_i n_i = 0}, the saturation of the ideal I_B
-    of the binomials x^(v+) - x^(v-) of a lattice basis by the product of
-    all variables (Sturmfels, Groebner Bases and Convex Polytopes, ch. 12).
-    A saturation step by x_i completes the basis under the weighted grevlex
-    order with weights n_i and x_i last, then divides x_i out of each
-    element, which leaves a Groebner basis of the saturation by x_i (Bayer
-    and Stillman), and reduces it.  max_basis bounds every intermediate
-    basis (ComputationLimitExceeded); a max_basis that is not None or an
-    int >= 0 raises ValueError.
+    need not be sorted or distinct.  Each graded piece of k[S] has
+    dimension at most 1, so under any term order the standard monomials of
+    I(S) are exactly the fibre minima, one for each degree in S (Sturmfels,
+    Groebner Bases and Convex Polytopes, ch. 4).  Take the weighted grevlex
+    order with x_low, the first variable of least weight m, last.  The
+    minimum of the fibre of degree d carries the largest power x_low^k that
+    leaves d - k*m in S, so w = d - k*m lies in Ap(S, m) = {w in S : w - m
+    not in S}, and the standard monomials are the x_low^k * mu(w), mu(w) the
+    least x_low-free monomial of degree w.  A minimal lead c is x_low-free
+    (c / x_low would be standard, and so c), is no mu(w) and has every
+    c / x_i a mu: c = mu(w) * x_i.  Its tail is its normal form, the least
+    x_low^k * mu(w') of its fibre, w' the element of Ap(S, m) congruent to
+    deg c mod m.  ``_apery_kernel`` builds that basis with no completion.
 
-    ``_certified_kernel`` gives I(S) under the order with a certified
-    variable last; one more step by x_p, the last variable, completes and
-    reduces it under the output order, none when that variable is x_p.
+    Unless x_low is x_p, the last variable, one step on the binomial engine
+    of ``groebner`` (``PackedBinomials``, under ``_widening``) then
+    completes and reduces it under the output order, x_p last: the basis
+    already generates I(S), which is prime, so nothing is saturated.  The
+    output order is not built from fibre minima too, which would take a
+    pass on Z/n_p instead of Z/m.
 
-    Every ideal on the way is binomial, so each step runs on the binomial
-    engine of ``groebner`` (``PackedBinomials``), count included, under
-    ``_widening``.  The pairs become Polynomials at the end of each call.
+    max_basis bounds the x_low basis and every basis of the output step
+    (ComputationLimitExceeded); a max_basis that is not None or an int >= 0
+    raises ValueError before any work.
     """
-    pres = _certified_kernel(exponents, variables, max_basis)
+    pres = _apery_kernel(exponents, variables, max_basis)
     order = MonomialOrder.weighted(pres.weights)
     if pres.order == order:
         return pres
-    pairs, _ = _saturation(pres.weights, order.nvars - 1, max_basis, 0,
-                           binomial_pairs(pres.generators))
+    pairs = binomial_run(binomial_pairs(pres.generators), order,
+                         partial(_completion, max_basis))
     return replace(pres, order=order,
                    generators=tuple(binomial_polynomials(pres.variables, pairs, order)))
 
 
-def _certified_kernel(exponents: Sequence[int], variables: Sequence[str] | None = None,
-                      max_basis: int | None = None) -> GradedIdealPresentation:
-    """I(S), the kernel of ``parametrization_kernel``, as its reduced basis
-    under the weighted grevlex order with the certified variable x_z last.
+def _completion(max_basis, binomials: PackedBinomials):
+    """Complete and reduce: the output step of ``parametrization_kernel``."""
+    binomials.complete(max_basis=max_basis)
+    binomials.reduce()
+    return binomials.pairs()
 
-    The first step saturates by the variable x_low of least weight m.  Its
-    result J = I_B : x_low^oo is certified to be I(S) when exactly m
-    monomials in the other variables are divisible by no x_low-free lead:
-    x_low is a nonzerodivisor on R/J and on R/I(S), J lies in I(S), and
-    with x_low last in(J + (x_low)) = in(J) + (x_low), so R/(J, x_low) has
-    that many dimensions and maps onto R/(I(S), x_low) = k[S]/(t^m), which
-    has |Ap(S, m)| = m.  Equal dimensions give (J, x_low) = (I(S), x_low),
-    and graded Nakayama J = I(S).  The count is never below m and stops at
-    m + 1.  Then x_z is x_low.  Otherwise, unless x_low is x_p, the next
-    step saturates by x_p and is certified the same way, with n_p in place
-    of m.  Failing that, every variable other than x_low and x_p is
-    saturated in turn, and then x_p again.  After a fallback x_z is x_p.
+
+def _apery_kernel(exponents: Sequence[int], variables: Sequence[str] | None = None,
+                  max_basis: int | None = None) -> GradedIdealPresentation:
+    """I(S), the kernel of ``parametrization_kernel``, as its reduced basis
+    {c - x_low^k * mu(w')} under the weighted grevlex order with x_low last.
+
+    ``_fibre_minima`` finds every mu(w), w in Ap(S, m), by one shortest-path
+    pass on Z/m, and each lead c = mu(w) * x_i is met once, from c / x_i
+    with x_i the last variable of c: O(m * e^2) work in all.  The basis is
+    sorted by lead, as ``PackedBinomials.reduce`` leaves it.  max_basis
+    bounds its size (ComputationLimitExceeded).
     """
     exponents = tuple(exponents)
     if not exponents or any(type(n) is not int or n < 1 for n in exponents):
@@ -144,42 +131,70 @@ def _certified_kernel(exponents: Sequence[int], variables: Sequence[str] | None 
         if len(variables) != len(exponents):
             raise ValueError("one variable per exponent")
         _check_variables(variables)
-    pairs = [(tuple(max(a, 0) for a in v), tuple(max(-a, 0) for a in v))
-             for v in _lattice_basis(exponents)]
-    low, last = exponents.index(min(exponents)), len(exponents) - 1
-    z = low
-    pairs, count = _saturation(exponents, z, max_basis, exponents[z] + 1, pairs)
-    if count != exponents[z] and z != last:
-        z = last
-        pairs, count = _saturation(exponents, z, max_basis, exponents[z] + 1, pairs)
-    if count != exponents[z]:
-        for i in [i for i in range(last) if i != low] + [last]:
-            pairs, _ = _saturation(exponents, i, max_basis, 0, pairs)
-    order = _last_order(exponents, z)
+    check_max_basis(max_basis)
+    e, low = len(exponents), exponents.index(min(exponents))
+    m = exponents[low]
+    others = tuple(j for j in range(e) if j != low)
+    order = MonomialOrder.weighted(exponents, others + (low,))
+    minima = _fibre_minima(exponents, others, m)
+    standard = set(minima.values())
+    pairs = []
+    for u in minima.values():
+        # c = u * x_i with x_i no earlier than the last variable of u
+        for i in reversed(others):
+            c = u[:i] + (u[i] + 1,) + u[i + 1:]
+            if c not in standard and all(
+                    not c[j] or c[:j] + (c[j] - 1,) + c[j + 1:] in standard for j in others):
+                if max_basis is not None and len(pairs) >= max_basis:
+                    raise ComputationLimitExceeded(
+                        f"Groebner basis exceeded {max_basis} elements")
+                degree = weighted_degree(c, exponents)
+                tail = minima[degree % m]
+                k = (degree - weighted_degree(tail, exponents)) // m
+                pairs.append((c, tail[:low] + (k,) + tail[low + 1:]))
+            if u[i]:
+                break
+    pairs.sort(key=lambda pair: order.key(pair[0]))
     return GradedIdealPresentation(variables, exponents, order,
                                    tuple(binomial_polynomials(variables, pairs, order)))
 
 
-def _last_order(exponents, i: int) -> MonomialOrder:
-    """The weighted grevlex order of the exponents with x_i last."""
-    return MonomialOrder.weighted(
-        exponents, tuple(j for j in range(len(exponents)) if j != i) + (i,))
+def _fibre_minima(exponents: tuple[int, ...], others: tuple[int, ...],
+                  m: int) -> dict[int, tuple[int, ...]]:
+    """{w mod m: mu(w)} over w in Ap(S, m): the least x_low-free monomial of
+    each residue class, by Dijkstra on Z/m (Boecker and Liptak 2007).
 
-
-def _saturation(exponents, i: int, max_basis, limit: int, pairs):
-    """The saturation step by x_i on the binomials pairs, under the weighted
-    grevlex order with x_i last: (the reduced basis, the count of its
-    standard monomials free of x_i up to limit)."""
-    return binomial_run(pairs, _last_order(exponents, i),
-                        partial(_saturation_step, i, max_basis, limit))
-
-
-def _saturation_step(i: int, max_basis, limit: int, binomials: PackedBinomials):
-    """Complete, divide x_i out, reduce, count: the step of ``_saturation``."""
-    binomials.complete(max_basis=max_basis)
-    binomials.saturate(i)
-    binomials.reduce()
-    return binomials.pairs(), binomials.standard_count(i, limit)
+    A path adds one variable x_i, i in others, at a time, and costs the key
+    (weighted degree, -u[others[-1]], ..., -u[others[0]]) of its monomial u:
+    the order's key restricted to x_low-free monomials.  The key is additive
+    and each step raises it, so the first path settled at a residue is its
+    least monomial, of the least degree w there, which is the element of
+    Ap(S, m) in that class.  A key determines its monomial, so the heap holds
+    keys alone.  The pass stops once all m residues are settled.
+    """
+    e, rank = len(exponents), len(others)
+    steps = []
+    for pos, i in enumerate(reversed(others)):
+        step = [0] * (rank + 1)
+        step[0], step[pos + 1] = exponents[i], -1
+        steps.append(tuple(step))
+    settled: dict[int, tuple[int, ...]] = {}
+    heap = [(0,) * (rank + 1)]
+    while len(settled) < m:
+        key = heapq.heappop(heap)
+        if key[0] % m in settled:
+            continue
+        settled[key[0] % m] = key
+        for step in steps:
+            if (key[0] + step[0]) % m not in settled:
+                heapq.heappush(heap, tuple(map(add, key, step)))
+    minima = {}
+    for r, key in settled.items():
+        u = [0] * e
+        for pos, i in enumerate(reversed(others)):
+            u[i] = -key[pos + 1]
+        minima[r] = tuple(u)
+    return minima
 
 
 def defining_ideal(curve: MonomialCurve, *,

@@ -4,15 +4,16 @@ import monocurves.toric as toric_module
 
 
 @pytest.fixture
-def saturations(monkeypatch):
-    """The list of the variables parametrization_kernel saturates by, in
-    turn, recorded by a spy on its steps; clear it between kernels."""
+def completions(monkeypatch):
+    """The last variable of the order of each engine run the kernel takes,
+    in turn, recorded by a spy on toric's ``binomial_run``; clear it
+    between kernels."""
     steps = []
-    saturation = toric_module._saturation
+    binomial_run = toric_module.binomial_run
 
-    def recording(exponents, i, *args):
-        steps.append(i)
-        return saturation(exponents, i, *args)
+    def recording(pairs, order, run):
+        steps.append(order.perm[-1])
+        return binomial_run(pairs, order, run)
 
-    monkeypatch.setattr(toric_module, "_saturation", recording)
+    monkeypatch.setattr(toric_module, "binomial_run", recording)
     return steps

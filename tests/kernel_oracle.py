@@ -3,14 +3,16 @@
 ``elimination_kernel``: start from the relations x_i - t^(n_i) under a
 block order putting t first; the t-free part of the completed basis is a
 Groebner basis of the kernel under the weighted grevlex order with weights
-n_i.  Slow, but independent of the lattice computation in
+n_i.  Slow, but independent of the fibre minima of
 ``parametrization_kernel``.
 
-``polynomial_kernel``: the lattice loop of ``parametrization_kernel`` run on
-``Polynomial`` objects, with S-polynomials and ``divide``.  It takes the
-same steps as the binomial engine, the certificate included, which it
-counts by its own scan of exponent tuples (``staircase_count``), so it
-gives the same bases and the same ``max_basis`` outcomes.
+``polynomial_kernel``: the toric ideal of the lattice {v : v.n = 0}, the
+saturation of the ideal of a lattice basis by every variable (Sturmfels,
+Groebner Bases and Convex Polytopes, ch. 12), on ``Polynomial`` objects with
+S-polynomials and ``divide``; the lattice basis is its own
+(``lattice_basis``).  It then takes the steps of ``parametrization_kernel``
+from the reduced basis under the order with x_low last, so it gives the same
+bases and the same ``max_basis`` outcomes.
 
 ``restart_minimal_generators``: the greedy scan of ``minimal_generators``
 with the completion rerun from scratch after each generator it keeps.
@@ -29,7 +31,6 @@ from elimination_order import elimination
 
 from monocurves import ComputationLimitExceeded, MonomialOrder, Polynomial
 from monocurves.poly import divide, exp_coprime, exp_divides, exp_lcm, s_polynomial
-from monocurves.toric import _lattice_basis
 
 
 def elimination_relations(exponents):
@@ -132,60 +133,74 @@ def saturate(basis, i):
     return out
 
 
-def staircase_count(leads, i, nvars, limit):
-    """The number of exponent vectors with no x_i that no lead free of x_i
-    divides, counted up to limit: a breadth-first scan by total degree."""
-    leads = [lead for lead in leads if not lead[i]]
-    count, layer = 0, [(0,) * nvars]
-    while layer and count < limit:
-        layer = [u for u in layer if not any(exp_divides(lead, u) for lead in leads)]
-        count += len(layer)
-        layer = {u[:j] + (u[j] + 1,) + u[j + 1:]
-                 for u in layer for j in range(nvars) if j != i}
-    return min(count, limit)
+def lattice_basis(exponents):
+    """A basis of the lattice {v : v.n = 0}, gcd(n) = 1: with g_k the gcd of
+    n_0, ..., n_k and c.(n_0, ..., n_(k-1)) = g_(k-1) by Bezout, the vectors
+    (n_k / g_k) c - (g_(k-1) / g_k) e_k for k >= 1.  They are triangular in
+    the coordinates 1..p with diagonal product n_0, the index in Z^p of the
+    lattice's projection, which forgets nothing as n_0 > 0."""
+    n = len(exponents)
+    basis, coeffs, g = [], [1] + [0] * (n - 1), exponents[0]
+    for k in range(1, n):
+        a, b, h = bezout(g, exponents[k])
+        v = [exponents[k] // h * c for c in coeffs]
+        v[k] = -(g // h)
+        basis.append(tuple(v))
+        coeffs = [a * c for c in coeffs]
+        coeffs[k] = b
+        g = h
+    return basis
+
+
+def bezout(x, y):
+    """(a, b, g) with a*x + b*y = g = gcd(x, y), by extended Euclid."""
+    a0, b0, a1, b1 = 1, 0, 0, 1
+    while y:
+        q = x // y
+        x, y = y, x - q * y
+        a0, b0, a1, b1 = a1, b1, a0 - q * a1, b0 - q * b1
+    return a0, b0, x
+
+
+def last_order(exponents, i):
+    """The weighted grevlex order of the exponents with x_i last."""
+    return MonomialOrder.weighted(
+        exponents, tuple(j for j in range(len(exponents)) if j != i) + (i,))
+
+
+def change_order(basis, order, max_basis=None):
+    """The reduced basis of the ideal of basis under order."""
+    basis = [b.monic(order) for b in basis]
+    polynomial_complete(basis, order, max_basis)
+    return polynomial_reduce(basis, order)
 
 
 def polynomial_kernel(exponents, variables=None, max_basis=None):
-    """(generators, order) of the reduced kernel basis, by the lattice loop
-    on Polynomials in the steps of parametrization_kernel: saturate by the
-    first variable of least weight m; unless m standard monomials free of
-    it remain, saturate by the last variable and count n_p the same way
-    (skipped when the first variable was the last); unless that count
-    certifies, saturate by every other variable, the last one last.  Then
-    finish by one step under the output order unless the last step was by
-    the last variable.  ComputationLimitExceeded as parametrization_kernel."""
+    """(generators, order) of the reduced kernel basis: the lattice basis
+    ideal saturated by every variable in turn, the last one last, with no
+    bound.  Then, as parametrization_kernel: the reduced basis under the
+    order with x_low last, refused when it has more than max_basis
+    elements, and unless x_low is the last variable one completion under
+    the output order, bounded by max_basis.  ComputationLimitExceeded as
+    parametrization_kernel."""
     exponents = tuple(exponents)
     if variables is None:
         variables = tuple(f"x{i}" for i in range(len(exponents)))
     variables = tuple(variables)
     basis = [Polynomial._raw(variables, {tuple(max(a, 0) for a in v): 1,
                                          tuple(max(-a, 0) for a in v): -1})
-             for v in _lattice_basis(exponents)]
+             for v in lattice_basis(exponents)]
     nvars = len(exponents)
-
-    def step(basis, i):
-        order = MonomialOrder.weighted(
-            exponents, tuple(j for j in range(nvars) if j != i) + (i,))
-        basis = [b.monic(order) for b in basis]
-        polynomial_complete(basis, order, max_basis)
-        basis = polynomial_reduce(saturate(basis, i), order)
-        return basis, [g.leading(order)[0] for g in basis]
-
-    def certified(leads, i):
-        return staircase_count(leads, i, nvars, exponents[i] + 1) == exponents[i]
-
-    low, last = exponents.index(min(exponents)), nvars - 1
-    z = low
-    basis, leads = step(basis, z)
-    if not certified(leads, z) and z != last:
-        z = last
-        basis, leads = step(basis, z)
-    if not certified(leads, z):
-        for i in [i for i in range(last) if i != low] + [last]:
-            basis, _ = step(basis, i)
-    if z != last:
-        basis, _ = step(basis, last)
-    return tuple(basis), MonomialOrder.weighted(exponents)
+    for i in range(nvars):
+        basis = saturate(change_order(basis, last_order(exponents, i)), i)
+    low = exponents.index(min(exponents))
+    basis = change_order(basis, last_order(exponents, low))
+    if max_basis is not None and len(basis) > max_basis:
+        raise ComputationLimitExceeded(f"Groebner basis exceeded {max_basis} elements")
+    order = MonomialOrder.weighted(exponents)
+    if low != nvars - 1:
+        basis = change_order(basis, order, max_basis)
+    return tuple(basis), order
 
 
 def restart_minimal_generators(pres):

@@ -212,6 +212,12 @@ def test_guard_exit_code(capsys):
     code, _, err = run(capsys, "betti", "--max-gb", "2", "12", "15", "20", "23")
     assert code == 2  # the kernel's Groebner basis outgrows 2 elements
     assert "exceeded 2 elements" in err
+    # betti reads 8 elements off Ap(S, 12); ideal completes them to 11
+    for command, least in [("betti", 8), ("ideal", 11)]:
+        code, _, err = run(capsys, command, "--max-gb", str(least - 1), "12", "15", "20", "23")
+        assert code == 2 and f"exceeded {least - 1} elements" in err, command
+        code, _, _ = run(capsys, command, "--max-gb", str(least), "12", "15", "20", "23")
+        assert code == 0, command
 
 
 def test_negative_guards_are_usage_errors(capsys):
@@ -245,6 +251,11 @@ def test_no_command_takes_a_guard_it_does_not_read(capsys):
     assert code == 2 and "conductor bound" in err
     code, _, err = run(capsys, "bresinsky", "--q2", "4", "--verify", "--max-gb", "3")
     assert code == 2 and "exceeded 3 elements" in err
+    # the q2 = 4 kernel has 8 elements, and verify grows no basis beyond them
+    code, _, err = run(capsys, "bresinsky", "--q2", "4", "--verify", "--max-gb", "7")
+    assert code == 2 and "exceeded 7 elements" in err
+    code, _, _ = run(capsys, "bresinsky", "--q2", "4", "--verify", "--max-gb", "8")
+    assert code == 0
 
 
 def test_broken_invariant_exit_code(capsys, monkeypatch):

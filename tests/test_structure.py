@@ -2,14 +2,11 @@
 ``structure_oracle``, on every window curve of embedding dimension 3 and 4,
 and 5 under slow.
 
-The windows reach every branch of ``toric._certified_kernel``, the kernel
-that ``betti_numbers`` resolves: kernels certified after the saturation by
-x0, kernels certified after one more step by x_p, and kernels that fall
-back to saturating by every variable.  Each window pins how many take each
-branch, so a certificate that accepts too much shows in the Betti numbers
-and one that accepts too little in that count.  On the symmetric curves the
-graded Betti numbers of the reduced minimal resolution are checked to be
-self-dual, as Kunz's theorem makes them.
+``betti_numbers`` resolves the kernel that ``toric._apery_kernel`` reads
+off Ap(S, m), so a wrong fibre minimum shows in the Betti numbers; each
+window also pins that no curve takes a completion on the way.  On the
+symmetric curves the graded Betti numbers of the reduced minimal resolution
+are checked to be self-dual, as Kunz's theorem makes them.
 """
 
 from collections import Counter
@@ -21,7 +18,7 @@ from windows import window_curves
 
 from monocurves import betti_numbers
 from monocurves.resolution import _artinian_resolution
-from monocurves.toric import _certified_kernel
+from monocurves.toric import _apery_kernel
 
 
 def assert_self_dual(gens):
@@ -31,21 +28,20 @@ def assert_self_dual(gens):
     sigma = frobenius_and_members(gens)[0] + sum(gens)
     p = len(gens) - 1
     graded = Counter((i, s) for i, level in enumerate(_artinian_resolution(
-        _certified_kernel(gens)).shifts) for s in level)
+        _apery_kernel(gens)).shifts) for s in level)
     assert graded == Counter({(p - i, sigma - s): b for (i, s), b in graded.items()}), gens
 
 
-def check_windows(saturations, curves):
+def check_windows(completions, curves):
     """Check every curve against the theorems of Herzog, Bresinsky, Komeda,
     Kunz and Delorme: ({(betti, class): count} over the symmetric and the
-    pseudo-symmetric curves, {saturation steps: count} over the kernels
+    pseudo-symmetric curves, {completions: count} over the kernels
     betti_numbers resolves)."""
     tally, steps = Counter(), Counter()
     for gens in curves:
-        saturations.clear()
+        completions.clear()
         betti = tuple(betti_numbers(gens))
-        # 1: certified after the step by x0; 2: after the one by x_p; e + 1: neither
-        steps[len(saturations)] += 1
+        steps[len(completions)] += 1
         expected = structure_betti(gens)
         assert expected is None or betti == expected, gens
         symmetric = is_symmetric(gens)
@@ -59,36 +55,36 @@ def check_windows(saturations, curves):
     return tally, steps
 
 
-def test_structure_theorems_three_generators(saturations):
+def test_structure_theorems_three_generators(completions):
     curves = window_curves(range(3, 17), (3,))
     assert len(curves) == 493
-    assert check_windows(saturations, curves) == (
-        {((2, 1), "symmetric"): 201, ((3, 2), "pseudo-symmetric"): 14}, {1: 376, 2: 117})
+    assert check_windows(completions, curves) == (
+        {((2, 1), "symmetric"): 201, ((3, 2), "pseudo-symmetric"): 14}, {0: 493})
 
 
-def test_structure_theorems_four_generators(saturations):
+def test_structure_theorems_four_generators(completions):
     curves = window_curves(range(4, 11), (4,))
     assert len(curves) == 205
-    assert check_windows(saturations, curves) == (
+    assert check_windows(completions, curves) == (
         {((3, 3, 1), "symmetric"): 11, ((5, 5, 1), "symmetric"): 16,
-         ((5, 6, 2), "pseudo-symmetric"): 8}, {1: 189, 2: 6, 5: 10})
+         ((5, 6, 2), "pseudo-symmetric"): 8}, {0: 205})
 
 
 @pytest.mark.slow
-def test_structure_theorems_wide(saturations):
+def test_structure_theorems_wide(completions):
     curves = window_curves(range(3, 25), (3,))
     assert len(curves) == 1747
-    assert check_windows(saturations, curves) == (
-        {((2, 1), "symmetric"): 607, ((3, 2), "pseudo-symmetric"): 23}, {1: 1262, 2: 485})
+    assert check_windows(completions, curves) == (
+        {((2, 1), "symmetric"): 607, ((3, 2), "pseudo-symmetric"): 23}, {0: 1747})
     curves = window_curves(range(4, 16), (4,))
     assert len(curves) == 1325
-    assert check_windows(saturations, curves) == (
+    assert check_windows(completions, curves) == (
         {((3, 3, 1), "symmetric"): 76, ((5, 5, 1), "symmetric"): 72,
-         ((5, 6, 2), "pseudo-symmetric"): 25}, {1: 1093, 2: 113, 5: 119})
+         ((5, 6, 2), "pseudo-symmetric"): 25}, {0: 1325})
     # only Kunz's and Delorme's theorems reach five generators
     curves = window_curves(range(5, 11), (5,))
     assert len(curves) == 251
-    assert check_windows(saturations, curves) == (
+    assert check_windows(completions, curves) == (
         {((6, 10, 6, 1), "symmetric"): 14, ((7, 12, 7, 1), "symmetric"): 1,
          ((9, 16, 9, 1), "symmetric"): 24, ((9, 16, 10, 2), "pseudo-symmetric"): 1,
-         ((9, 17, 11, 2), "pseudo-symmetric"): 1}, {1: 245, 2: 4, 6: 2})
+         ((9, 17, 11, 2), "pseudo-symmetric"): 1}, {0: 251})

@@ -1,21 +1,25 @@
 import random
 from itertools import combinations
 from math import gcd
+from operator import le
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from kernel_oracle import elimination_kernel, polynomial_kernel, restart_minimal_generators
+from semigroup_oracle import invariants
+from kernel_oracle import (change_order, elimination_kernel, polynomial_kernel,
+                           restart_minimal_generators)
 from windows import window_curves
 
 import monocurves.groebner as groebner_module
+import monocurves.toric as toric_module
 from monocurves import (ComputationLimitExceeded, GradedIdealPresentation,
                         Polynomial, bresinsky_sequence, buchberger,
                         defining_ideal, eta_check, minimal_generators,
                         monomial_curve, new_semigroup, parametrization_kernel,
                         parse_polynomial, reduce_basis)
 from monocurves.poly import weighted_degree
-from monocurves.toric import _certified_kernel
+from monocurves.toric import _apery_kernel
 
 CURVES = [(2, 3), (3, 5, 7), (3, 4, 5), (4, 6, 7), (6, 10, 15), (5, 7, 9, 13)]
 
@@ -148,9 +152,14 @@ def test_kernel_validation():
 
 
 def test_kernel_max_basis_guard():
-    # the lattice basis of (12,15,20,23) completes to 10 elements
-    for k in (2, 9):
-        with pytest.raises(ComputationLimitExceeded):
+    # the basis of (12,15,20,23) read off Ap(S, 12) has 8 elements; the step
+    # under the output order grows it to 11 and reduces it to 10
+    for k in (2, 7):
+        with pytest.raises(ComputationLimitExceeded, match=f"exceeded {k} elements"):
+            _apery_kernel((12, 15, 20, 23), max_basis=k)
+    assert len(_apery_kernel((12, 15, 20, 23), max_basis=8).generators) == 8
+    for k in (2, 7, 10):
+        with pytest.raises(ComputationLimitExceeded, match=f"exceeded {k} elements"):
             parametrization_kernel((12, 15, 20, 23), max_basis=k)
     assert len(parametrization_kernel((12, 15, 20, 23), max_basis=11).generators) == 10
 
@@ -162,6 +171,8 @@ def test_kernel_refuses_bad_max_basis():
         for bad in (-1, True, 2.5, "3"):
             with pytest.raises(ValueError, match="max_basis must be None or an int >= 0"):
                 parametrization_kernel(exponents, max_basis=bad)
+            with pytest.raises(ValueError, match="max_basis must be None or an int >= 0"):
+                _apery_kernel(exponents, max_basis=bad)
     with pytest.raises(ComputationLimitExceeded):
         parametrization_kernel((3, 5, 7), max_basis=0)
     assert parametrization_kernel((1,), max_basis=0).generators == ()
@@ -194,39 +205,158 @@ def test_kernel_matches_elimination_oracle():
     assert [str(g) for g in assert_matches_oracle((1, 2), ("y", "z")).generators] == ["y^2 - z"]
 
 
-def test_bresinsky_kernel_matches_elimination_oracle(saturations):
-    # n puts the least weight last: certified by the step under the output order
+def test_bresinsky_kernel_matches_elimination_oracle(completions):
+    # n puts the least weight last: the x_low basis is the kernel under the
+    # output order, and no completion follows
     for q2 in (4, 6, 8):
         inst = bresinsky_sequence(q2)
-        saturations.clear()
+        completions.clear()
         assert len(assert_matches_oracle(inst.n, inst.variables).generators) == 2 * q2
-        assert saturations == [3], q2
+        assert completions == [], q2
 
 
-def test_kernel_certified_or_falls_back(saturations):
-    # the first step saturates by the least weight; unless that certifies,
-    # the next saturates by x_p and certifies it the same way; unless that
-    # certifies either, every other variable is saturated in turn, x_p last
-    # even when it came first.  The certified kernel ends with the certified
-    # variable last, and parametrization_kernel adds the step under the
-    # output order, x_p last, when that variable is not x_p.
-    for exponents, certified, steps in [((3, 5, 7), [0], [0, 2]), ((5, 3, 7), [1], [1, 2]),
-                                        ((5, 7, 3), [2], [2]),
-                                        ((7, 11, 12, 13), [0, 3, 1, 2, 3], [0, 3, 1, 2, 3]),
-                                        ((8, 11, 13, 15), [0, 3], [0, 3]),
-                                        ((5, 13, 14), [0, 2], [0, 2]),
-                                        ((13, 5, 14), [1, 2], [1, 2]),
-                                        ((13, 14, 5), [2, 0, 1, 2], [2, 0, 1, 2])]:
-        saturations.clear()
-        pres = _certified_kernel(exponents)
-        assert saturations == certified, exponents
-        assert pres.order.perm[-1] == certified[-1], exponents
-        saturations.clear()
+def test_apery_kernel_then_one_output_step(completions):
+    # the x_low basis takes no completion; parametrization_kernel completes
+    # it under the output order, x_p last, when x_low is not x_p
+    for exponents, low in [((3, 5, 7), 0), ((5, 3, 7), 1), ((5, 7, 3), 2),
+                           ((7, 11, 12, 13), 0), ((8, 11, 13, 15), 0), ((5, 13, 14), 0),
+                           ((13, 5, 14), 1), ((13, 14, 5), 2), ((2, 2, 3), 0), ((1, 1), 0)]:
+        completions.clear()
+        pres = _apery_kernel(exponents)
+        assert completions == [], exponents
+        assert pres.order.perm[-1] == low, exponents
+        last = len(exponents) - 1
         kernel = assert_matches_oracle(exponents)
-        assert saturations == steps, exponents
+        assert completions == ([last] if low != last else []), exponents
         # the same ideal, under another order
         assert reduce_basis(buchberger(pres.generators, kernel.order)).generators \
             == kernel.generators, exponents
+
+
+def printed(gens):
+    return [str(g) for g in gens]
+
+
+def assert_apery_matches_oracles(exponents, variables=None, oracles=(elimination_kernel,
+                                                                     polynomial_kernel)):
+    """_apery_kernel is the kernel of each oracle under its order, x_low
+    last, and parametrization_kernel is theirs under the output order."""
+    pres = _apery_kernel(exponents, variables)
+    assert pres.order.perm[-1] == exponents.index(min(exponents)), exponents
+    kernel = printed(parametrization_kernel(exponents, variables).generators)
+    for oracle in oracles:
+        gens, _ = oracle(exponents, variables)
+        assert kernel == printed(gens), (exponents, oracle)
+        assert printed(pres.generators) == printed(change_order(gens, pres.order)), \
+            (exponents, oracle)
+
+
+def test_apery_kernel_matches_both_oracles():
+    curves = window_curves(range(3, 17), (3,)) + window_curves(range(4, 11), (4,))
+    assert len(curves) == 493 + 205
+    curves += [(13, 14, 5), (5, 13, 14), (7, 11, 12, 13), (3, 5, 6, 7), (1,), (1, 1)]
+    for exponents in curves:
+        assert_apery_matches_oracles(exponents)
+    # elimination takes 9 s on q2 = 10 and 12, which the slow test runs
+    for q2 in range(4, 13, 2):
+        inst = bresinsky_sequence(q2)
+        oracles = (elimination_kernel, polynomial_kernel) if q2 <= 8 else (polynomial_kernel,)
+        assert_apery_matches_oracles(inst.n, inst.variables, oracles)
+
+
+@pytest.mark.slow
+def test_apery_kernel_matches_both_oracles_wide():
+    curves = window_curves(range(4, 11), (4, 5, 6))
+    assert len(curves) == 666
+    for exponents in curves:
+        assert_apery_matches_oracles(exponents)
+    for q2 in (10, 12):
+        inst = bresinsky_sequence(q2)
+        assert_apery_matches_oracles(inst.n, inst.variables, (elimination_kernel,))
+
+
+def x_low_free_standard_monomials(pres):
+    """The monomials free of x_low, the order's last variable, that no lead
+    divides, by a walk from 1 that never extends a multiple of a lead."""
+    order, low = pres.order, pres.order.perm[-1]
+    leads = [g.leading(order)[0] for g in pres.generators]
+    seen, todo = set(), [(0,) * order.nvars]
+    while todo:
+        u = todo.pop()
+        if u in seen or any(all(map(le, lead, u)) for lead in leads):
+            continue
+        seen.add(u)
+        todo += [u[:j] + (u[j] + 1,) + u[j + 1:] for j in range(order.nvars) if j != low]
+    return seen
+
+
+def test_apery_kernel_standard_degrees_are_the_apery_set():
+    # k[S]/(t^m) has the basis t^w, w in Ap(S, m): one standard monomial free
+    # of x_low in each degree of the Apery set, and no other
+    curves = window_curves(range(3, 13), (3, 4)) + window_curves(range(5, 8), (5,))
+    curves += [(13, 14, 5), (7, 11, 12, 13), (3, 3, 4, 4, 5), (2, 2, 3), (1, 1), (1,),
+               (9, 6, 4), (3, 40001, 40003)]
+    for exponents in curves:
+        pres = _apery_kernel(exponents)
+        m = min(exponents)
+        degrees = sorted(weighted_degree(u, exponents)
+                         for u in x_low_free_standard_monomials(pres))
+        assert degrees == sorted(invariants(exponents)["apery"](m)), exponents
+
+
+def fibre(exponents, degree):
+    """Every exponent vector of weighted degree degree, by brute force."""
+    if not exponents:
+        return [()] if degree == 0 else []
+    return [(k,) + rest for k in range(degree // exponents[0] + 1)
+            for rest in fibre(exponents[1:], degree - k * exponents[0])]
+
+
+def test_apery_kernel_tails_are_fibre_minima():
+    curves = window_curves(range(3, 10), (3, 4, 5))
+    curves += [(13, 14, 5), (7, 11, 12, 13), (3, 3, 4, 4, 5), (2, 2, 3), (1, 1), (9, 6, 4)]
+    for exponents in curves:
+        pres = _apery_kernel(exponents)
+        order = pres.order
+        for g in pres.generators:
+            lead, tail = sorted(g.terms, key=order.key, reverse=True)
+            assert g.terms == {lead: 1, tail: -1}, (exponents, g)
+            least = min(fibre(exponents, weighted_degree(lead, exponents)), key=order.key)
+            assert tail == least, (exponents, g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=5)
+       .filter(lambda ns: gcd(*ns) == 1))
+@example([1]).via("one variable")
+@example([4, 1, 4]).via("a 1 and a repeat")
+@example([6, 6, 10, 15]).via("a repeated least weight")
+def test_apery_kernel_matches_polynomial_oracle_property(exponents):
+    # unsorted tuples, 1s and repeats included
+    exponents = tuple(exponents)
+    lattice, order = polynomial_kernel(exponents)
+    pres = _apery_kernel(exponents)
+    assert printed(pres.generators) == printed(change_order(lattice, pres.order)), exponents
+    assert printed(parametrization_kernel(exponents).generators) == printed(lattice), exponents
+    assert eta_check(pres)
+
+
+def test_apery_kernel_visits_m_residues(monkeypatch):
+    # one pass on Z/3: three residues settled, whatever n_p is
+    popped = []
+    heappop = toric_module.heapq.heappop
+
+    def recording(heap):
+        key = heappop(heap)
+        popped.append(key[0] % 3)
+        return key
+
+    monkeypatch.setattr(toric_module.heapq, "heappop", recording)
+    pres = _apery_kernel((3, 40001, 40003))
+    assert popped == [0, 2, 1]
+    # every lead is free of x0, the last variable of the order
+    assert printed(pres.generators) == [
+        "-x0^13333*x2 + x1^2", "-x0^26668 + x1*x2", "-x0^13335*x1 + x2^2"]
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
