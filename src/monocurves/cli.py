@@ -241,82 +241,82 @@ def _cmd_homogenize(args):
     return payload, text
 
 
-_COMMANDS = {
-    "semigroup": _cmd_semigroup,
-    "ideal": _cmd_ideal,
-    "groebner": _cmd_groebner,
-    "resolution": _cmd_resolution,
-    "betti": _cmd_betti,
-    "bresinsky": _cmd_bresinsky,
-    "concat-sweep": _cmd_concat_sweep,
-    "derivations": _cmd_derivations,
-    "homogenize": _cmd_homogenize,
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="monocurves",
-                     description="numerical semigroups, monomial curves, "
-                                 "Groebner bases and free resolutions")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, gens=True, guards=_GUARDS):
+def _arguments(*extra, gens=True, guards=_GUARDS):
+    """A command's add_arguments: its generators unless gens is false,
+    --format, the guards it reads, then each (flag, options) of extra."""
+    def add(p):
         if gens:
             p.add_argument("generators", nargs="+", type=int,
                            help="semigroup generators")
         p.add_argument("--format", choices=("text", "json"), default="text")
         for flag in guards:
             p.add_argument(flag, type=_bound, default=_GUARDS[flag])
+        for flag, options in extra:
+            p.add_argument(flag, **options)
+    return add
 
-    # a command takes only the guards it reads: no Groebner basis is built by
-    # semigroup and derivations, and a Bresinsky curve always has 4 variables
-    common(sub.add_parser("semigroup", help="invariants, gaps, symmetry"),
-           guards=("--max-vars", "--max-conductor"))
-    common(sub.add_parser("ideal", help="minimal generators of the defining ideal"))
 
-    p = sub.add_parser("groebner", help="reduced Groebner basis of the defining ideal")
-    common(p)
-    p.add_argument("--order", choices=_KINDS, default="weighted")
-    p.add_argument("--perm", help="comma-separated variable priority, e.g. 2,1,0,3")
+# a command takes only the guards it reads: no Groebner basis is built by
+# semigroup and derivations, and a Bresinsky curve always has 4 variables
+_NO_BASIS = ("--max-vars", "--max-conductor")
+_RANGE = {"required": True, "help": "value or range lo:hi"}
 
-    p = sub.add_parser("resolution", help="graded free resolution")
-    common(p)
-    p.add_argument("--non-minimal", action="store_true",
-                   help="emit the raw Schreyer resolution")
+# name: (handler, help, add_arguments), in the order the help lists them
+_COMMANDS = {
+    "semigroup": (_cmd_semigroup, "invariants, gaps, symmetry",
+                  _arguments(guards=_NO_BASIS)),
+    "ideal": (_cmd_ideal, "minimal generators of the defining ideal", _arguments()),
+    "groebner": (_cmd_groebner, "reduced Groebner basis of the defining ideal", _arguments(
+        ("--order", {"choices": _KINDS, "default": "weighted"}),
+        ("--perm", {"help": "comma-separated variable priority, e.g. 2,1,0,3"}))),
+    "resolution": (_cmd_resolution, "graded free resolution", _arguments(
+        ("--non-minimal", {"action": "store_true",
+                           "help": "emit the raw Schreyer resolution"}))),
+    "betti": (_cmd_betti, "Betti numbers of the defining ideal", _arguments()),
+    "bresinsky": (_cmd_bresinsky, "Bresinsky instance and verification", _arguments(
+        ("--q2", {"type": int, "required": True}), ("--verify", {"action": "store_true"}),
+        gens=False, guards=("--max-conductor", "--max-gb"))),
+    "concat-sweep": (_cmd_concat_sweep, "sweep concatenation semigroups over a grid",
+                     _arguments(("--a", _RANGE), ("--d", _RANGE), ("--b", _RANGE),
+                                ("--p", {"type": int, "default": 3}), gens=False)),
+    "derivations": (_cmd_derivations, "Kraft data of the derivation module",
+                    _arguments(guards=_NO_BASIS)),
+    "homogenize": (_cmd_homogenize, "homogenized Groebner basis (projective closure)",
+                   _arguments(("--homvar", {"default": "h"}))),
+}
 
-    common(sub.add_parser("betti", help="Betti numbers of the defining ideal"))
 
-    p = sub.add_parser("bresinsky", help="Bresinsky instance and verification")
-    common(p, gens=False, guards=("--max-conductor", "--max-gb"))
-    p.add_argument("--q2", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, as ``main`` builds it for help and errors."""
+    return _parser(_COMMANDS)
 
-    p = sub.add_parser("concat-sweep",
-                       help="sweep concatenation semigroups over a grid")
-    common(p, gens=False)
-    p.add_argument("--a", required=True, help="value or range lo:hi")
-    p.add_argument("--d", required=True, help="value or range lo:hi")
-    p.add_argument("--b", required=True, help="value or range lo:hi")
-    p.add_argument("--p", type=int, default=3)
 
-    common(sub.add_parser("derivations", help="Kraft data of the derivation module"),
-           guards=("--max-vars", "--max-conductor"))
-
-    p = sub.add_parser("homogenize", help="homogenized Groebner basis (projective closure)")
-    common(p)
-    p.add_argument("--homvar", default="h")
-
+def _parser(names) -> argparse.ArgumentParser:
+    parser = _Parser(prog="monocurves",
+                     description="numerical semigroups, monomial curves, "
+                                 "Groebner bases and free resolutions")
+    # one command alone keeps the usage line argparse derives from all; the
+    # full parser leaves metavar unset: its errors name the argument by it
+    metavar = {} if len(names) == len(_COMMANDS) else {
+        "metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **metavar)
+    for name in names:
+        _, summary, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # build the parser of the command named alone; anything else (no command,
+    # -h, an unknown name, an option first) gets every command's, as for help
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     try:
-        args = parser.parse_args(argv)
+        args = _parser(names).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        payload, text = _COMMANDS[args.command](args)
+        payload, text = _COMMANDS[args.command][0](args)
     except ComputationLimitExceeded as exc:
         print(f"error: computation exceeds configured bounds ({exc})",
               file=sys.stderr)

@@ -7,7 +7,6 @@ import heapq
 from dataclasses import dataclass, replace
 from functools import partial
 from math import gcd
-from operator import add
 from typing import Sequence
 
 from .groebner import (ComputationLimitExceeded, GroebnerBasis, PackedBinomials, basis_run,
@@ -169,30 +168,37 @@ def _fibre_minima(exponents: tuple[int, ...], others: tuple[int, ...],
     the order's key restricted to x_low-free monomials.  The key is additive
     and each step raises it, so the first path settled at a residue is its
     least monomial, of the least degree w there, which is the element of
-    Ap(S, m) in that class.  A key determines its monomial, so the heap holds
-    keys alone.  The pass stops once all m residues are settled.
+    Ap(S, m) in that class.  The pass stops once all m residues are settled.
+
+    The heap holds each key packed into one int, degree * B^r minus the
+    exponents as the r digits below it in base B = m + 1, r = len(others),
+    u[others[-1]] the most significant: ints compare as the keys do while
+    every digit is at most m.  Each mu(w) has total degree at most m - 1 (a
+    longer one holds a block of generators summing to a multiple of m, so
+    w - m would lie in S), and a pushed path is one step longer than a
+    settled one.  A key determines its monomial, so the heap holds keys alone.
     """
-    e, rank = len(exponents), len(others)
-    steps = []
-    for pos, i in enumerate(reversed(others)):
-        step = [0] * (rank + 1)
-        step[0], step[pos + 1] = exponents[i], -1
-        steps.append(tuple(step))
-    settled: dict[int, tuple[int, ...]] = {}
-    heap = [(0,) * (rank + 1)]
+    e, rank, base = len(exponents), len(others), m + 1
+    top = base ** rank
+    steps = [(exponents[i], exponents[i] * top - base ** (rank - 1 - pos))
+             for pos, i in enumerate(reversed(others))]
+    settled: dict[int, int] = {}
+    heap = [0]
     while len(settled) < m:
         key = heapq.heappop(heap)
-        if key[0] % m in settled:
+        r = -(-key // top) % m
+        if r in settled:
             continue
-        settled[key[0] % m] = key
-        for step in steps:
-            if (key[0] + step[0]) % m not in settled:
-                heapq.heappush(heap, tuple(map(add, key, step)))
+        settled[r] = key
+        for weight, step in steps:
+            if (r + weight) % m not in settled:
+                heapq.heappush(heap, key + step)
     minima = {}
     for r, key in settled.items():
+        digits = -(-key // top) * top - key
         u = [0] * e
-        for pos, i in enumerate(reversed(others)):
-            u[i] = -key[pos + 1]
+        for i in others:
+            digits, u[i] = divmod(digits, base)
         minima[r] = tuple(u)
     return minima
 

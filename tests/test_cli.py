@@ -1,9 +1,11 @@
+import argparse
 import json
+import sys
 
 import pytest
 
-from monocurves import NumericalSemigroup, parse_polynomial
-from monocurves.cli import main
+from monocurves import NumericalSemigroup, cli, parse_polynomial
+from monocurves.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -274,8 +276,12 @@ def test_broken_invariant_exit_code(capsys, monkeypatch):
 def test_usage_error_exit_code(capsys):
     assert main(["semigroup"]) == 1
     capsys.readouterr()
-    assert main(["no-such-command"]) == 1
-    capsys.readouterr()
+    # the parser of every command names its subcommand argument "command"
+    assert run(capsys) == (1, "", "monocurves: error: the following arguments "
+                                  "are required: command\n")
+    code, out, err = run(capsys, "no-such-command")
+    assert (code, out) == (1, "")
+    assert err.startswith("monocurves: error: argument command: invalid choice: ")
 
 
 def test_duplicate_and_unsorted_input(capsys):
@@ -292,3 +298,73 @@ def test_exponent_limit_exit_code(capsys):
     code, out, err = run(capsys, "betti", "2", "32769", "--max-conductor", "70000")
     assert (code, out, err) == (0, "betti numbers: [1]\n", "")
     assert run_json(capsys, "betti", "2", "32767", "--max-conductor", "70000")["betti"] == [1]
+
+
+# each command: a good call, then a malformed one (a non-int generator, or a
+# non-int value where the command takes none), then one missing a required flag
+_CALLS = {
+    "semigroup": (["3", "5", "7"], ["3", "x"], None),
+    "ideal": (["3", "5", "7"], ["x", "5"], None),
+    "groebner": (["3", "5", "7", "--order", "lex"], ["3", "5.0"], None),
+    "resolution": (["3", "5", "7"], ["3", "five"], None),
+    "betti": (["3", "5", "7"], ["3", "5", "7x"], None),
+    "bresinsky": (["--q2", "4"], ["--q2", "x"], ["--verify"]),
+    "concat-sweep": (["--a", "5", "--d", "3", "--b", "19"],
+                     ["--a", "5", "--d", "3", "--b", "19", "--p", "x"],
+                     ["--a", "5", "--d", "3"]),
+    "derivations": (["3", "5", "7"], ["3", "-"], None),
+    "homogenize": (["3", "4", "5"], ["3", "4", "x"], None),
+}
+_ARGVS = [[], ["-h"], ["--help"], ["-x"], ["no-such-command"], ["--format", "json", "betti", "4", "5"]]
+for _name, (_good, _bad, _missing) in _CALLS.items():
+    _ARGVS += [[_name, "-h"], [_name, *_good], [_name, *_good, "--bogus"], [_name, *_bad]]
+    if _missing:
+        _ARGVS.append([_name, *_missing])
+
+
+@pytest.mark.parametrize("argv", _ARGVS, ids=" ".join)
+def test_cli_matches_the_full_parser(capsys, monkeypatch, argv):
+    # main builds the named command's parser alone; every help, error and
+    # result must read as it does through the parser of every command
+    for columns in ("80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        fast = run(capsys, *argv)
+        with monkeypatch.context() as patch:
+            full = build_parser()
+            patch.setattr(cli, "_parser", lambda names: full)
+            assert run(capsys, *argv) == fast, columns
+
+
+@pytest.fixture
+def added_parsers(monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def recording(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    return added
+
+
+def test_only_the_named_command_is_built(capsys, added_parsers):
+    assert run(capsys, "betti", "3", "5", "7")[0] == 0
+    assert added_parsers == ["betti"]
+    added_parsers.clear()
+    assert run(capsys)[0] == 1
+    assert added_parsers == ["semigroup", "ideal", "groebner", "resolution", "betti",
+                             "bresinsky", "concat-sweep", "derivations", "homogenize"]
+    # the parser of one command keeps the usage line of all of them
+    assert cli._parser(["betti"]).format_usage() == build_parser().format_usage()
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch, added_parsers):
+    # the installed entry point calls main() with no argv
+    argv = ["betti", "3", "5", "7", "--format", "json"]
+    monkeypatch.setattr(sys, "argv", ["monocurves", *argv])
+    assert main() == 0
+    out = capsys.readouterr().out
+    assert added_parsers == ["betti"]
+    assert json.loads(out)["betti"] == [3, 2]
+    assert run(capsys, *argv) == (0, out, "")

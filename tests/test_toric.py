@@ -347,8 +347,9 @@ def test_apery_kernel_visits_m_residues(monkeypatch):
     heappop = toric_module.heapq.heappop
 
     def recording(heap):
+        # a key is degree * 4^2 minus the exponents of x1, x2 in base m + 1 = 4
         key = heappop(heap)
-        popped.append(key[0] % 3)
+        popped.append(-(-key // 4 ** 2) % 3)
         return key
 
     monkeypatch.setattr(toric_module.heapq, "heappop", recording)
