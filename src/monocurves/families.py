@@ -88,11 +88,11 @@ def verify_bresinsky(inst: BresinskyInstance, *,
     """Check the three claims about the generating set S of the instance:
 
     it equals the defining ideal (mutual reduction to zero), it is a
-    Groebner basis under lex x3 > x2 > x1 > x4, and the minimalized
-    resolution has Betti numbers (2*q2, 4*(q2-1), 2*q2-3).  The Betti
-    numbers come from the kernel computed for the first check, so the
-    kernel is computed once: x4 has the least weight and comes last in
-    its order, so ``_betti`` resolves k[S]/(t^(q2*d1)) in x1, x2, x3.
+    Groebner basis under lex x3 > x2 > x1 > x4, and its Betti numbers are
+    (2*q2, 4*(q2-1), 2*q2-3).  They come from the kernel computed for the
+    first check, so the kernel is computed once: x4 has the least weight
+    and comes last in its order, so ``_betti`` reads them off the constant
+    blocks of the Schreyer resolution of k[S]/(t^(q2*d1)) in x1, x2, x3.
     """
     gens = bresinsky_generators(inst)
     # buchberger appends to S exactly when some S-pair leaves a remainder

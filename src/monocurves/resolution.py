@@ -11,14 +11,17 @@ integer key under the level's ``SchreyerOrder``, and every level, the ring
 level included, divides its S-pairs by ``PackedLevel.spair_division``.  The
 leading monomial of each syzygy is read off its pair (Schreyer's theorem),
 so a level is pruned on those leads first and only the kept pairs are
-divided.  Minimalization then splits off the trivial summands one unit
-entry at a time, keeping the Schur complement of the differential that
-holds it; the surviving ranks are the Betti numbers.
+divided.  ``_levels`` walks these levels once for both readers:
+``free_resolution`` builds dense differentials, which minimalization
+reduces one unit entry at a time by Schur complements; the Betti numbers
+are read off the constant blocks of the packed levels, one rank a degree.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import count
 from typing import Sequence
 
 from .groebner import GroebnerBasis, PackedLevel, remainder_error
@@ -302,23 +305,26 @@ def _constant_value(poly: Polynomial):
     return c
 
 
-def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
-    """Schreyer resolution of R/I from a graded presentation of I.
+def _levels(pres: GradedIdealPresentation, read):
+    """read(ring, levels) on the Schreyer resolution of R/I from a graded
+    presentation of I, where levels yields (columns, shifts) for d_1, d_2,
+    ...: columns[c] is the packed term map of the image of the c-th basis
+    vector, shifts[c] its degree, and ``ring.coordinates`` unpacks them.
 
     The generators must be a Groebner basis for ``pres.order`` (ValueError
     otherwise).  Each level, they and then the Schreyer syzygies of the
     previous one (a Groebner basis in the induced order), is pruned to a
     minimal basis and sorted, so iteration stops at the variable-count bound.
     Every level packs its monomials at the width ``GroebnerBasis`` chose
-    for the generators; a level that outgrows it reruns the resolution
-    twice as wide, so any exponent is taken.
+    for the generators; a level that outgrows it reruns read twice as wide,
+    so any exponent is taken.  With no generators read gets no levels.
     """
     variables, weights = pres.variables, pres.weights
     for g in pres.generators:
         if not g.is_weighted_homogeneous(weights):
             raise ValueError(f"non-homogeneous generator {g}")
     if not pres.generators:
-        return GradedResolution([1], [[0]], [], variables, weights)
+        return read(None, iter(()))
     gens = [g.monic(pres.order) for g in pres.generators]
     leads = [(0, g.leading(pres.order)[0]) for g in gens]
     kept = _prune_and_sort(leads, lambda k: gens[k].sort_key())
@@ -329,33 +335,51 @@ def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
     if any(gb.normal_form(pres.generators[k]) for k in sorted(dropped)):
         raise ValueError("presentation generators are not a Groebner basis")
 
-    def resolve(level):
-        shifts: list[list[int]] = [[0], [g.weighted_degree(weights) for g in gb]]
-        diffs: list[list[list[Polynomial]]] = [[list(gb.generators)]]
-        syz, syz_leads = _kept_syzygies(level)
-        while syz:
-            if len(diffs) >= len(variables):
+    def levels(level):
+        # level holds the columns just yielded as its elements
+        columns = [{m: c for m, _, c in terms} for terms in level.elements]
+        leads, shifts = level.leads, [0]
+        for depth in count(1):
+            shifts = [weighted_degree(exp, weights) + shifts[pos] for pos, exp in leads]
+            yield columns, shifts
+            columns, leads = _kept_syzygies(level)
+            if not columns:
+                return
+            if depth >= len(variables):
                 raise AssertionError("resolution exceeded the variable-count bound")
-            rank, prev = len(level.leads), shifts[-1]
-            coords = [level.coordinates(e, rank) for e in syz]
+            level = PackedLevel(level.order.next(level.leads), columns, leads)
+
+    return gb._on_level(lambda ring: read(ring, levels(ring)))
+
+
+def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
+    """Schreyer resolution of R/I from a graded presentation of I, whose
+    generators must be a Groebner basis (ValueError otherwise), its
+    differentials dense matrices of ``Polynomial``s (``_levels``)."""
+    variables, weights = pres.variables, pres.weights
+
+    def read(ring, levels):
+        shifts, diffs = [[0]], []
+        for columns, degrees in levels:
+            rank = len(shifts[-1])
+            coords = [ring.coordinates(col, rank) for col in columns]
             diffs.append([[Polynomial._raw(variables, col[r]) for col in coords]
                           for r in range(rank)])
-            shifts.append([weighted_degree(exp, weights) + prev[pos] for pos, exp in syz_leads])
-            level = PackedLevel(level.order.next(level.leads), syz, syz_leads)
-            syz, syz_leads = _kept_syzygies(level)
+            shifts.append(degrees)
         return GradedResolution([len(s) for s in shifts], shifts, diffs, variables, weights)
 
-    return gb._on_level(resolve)
+    return _levels(pres, read)
 
 
-def _first_unit(mat, start):
+def _first_unit(mat, start, rows, columns):
     """(row, column) of the first nonzero constant of mat in row-major
-    order from row start on, or None."""
-    for r in range(start, len(mat)):
-        for c, entry in enumerate(mat[r]):
-            if _constant_value(entry) is not None:
-                return r, c
-    return None
+    order from row start on, or None, looked for only where the row and
+    column shifts are equal: a constant has degree 0."""
+    at: dict = {}
+    for c, s in enumerate(columns):
+        at.setdefault(s, []).append(c)
+    return next(((r, c) for r in range(start, len(mat)) for c in at.get(rows[r], ())
+                 if _constant_value(mat[r][c]) is not None), None)
 
 
 def minimalize(res: GradedResolution) -> GradedResolution:
@@ -380,7 +404,7 @@ def minimalize(res: GradedResolution) -> GradedResolution:
         # d_k[r0][c] both have degree 0 (their degrees add up to that of
         # (r, c)).  Then d_k[r][c0] is a unit too, so r > r0, or the scan
         # would have picked it first: the scan resumes at row r0.
-        while (unit := _first_unit(mat, r0)) is not None:
+        while (unit := _first_unit(mat, r0, shifts[k], shifts[k + 1])) is not None:
             r0, c0 = unit
             pivot = mat.pop(r0)
             inv = _inverse(_constant_value(pivot.pop(c0)))
@@ -408,47 +432,53 @@ def minimalize(res: GradedResolution) -> GradedResolution:
 def betti_numbers(curve, *, max_basis: int | None = None) -> list[int]:
     """Betti numbers beta_1, ..., beta_p of the curve's defining ideal, read
     off the Artinian reduction of the kernel that ``toric._apery_kernel``
-    reads off Ap(S, m): no completion at all (``_betti``)."""
+    reads off Ap(S, m): no completion and no ``minimalize`` (``_betti``)."""
     if not isinstance(curve, MonomialCurve):
         curve = monomial_curve(tuple(curve))
     return _betti(_apery_kernel(curve.exponents, curve.variables, max_basis))
 
 
 def _betti(pres: GradedIdealPresentation) -> list[int]:
-    """The Betti numbers of the ideal of a Groebner presentation, from its
-    Artinian reduction (``_artinian_resolution``): the one path to them,
-    behind ``betti_numbers``, ``verify_bresinsky`` and the rows of
-    ``family_sweep``."""
-    return _artinian_resolution(pres).betti
+    """beta_1, ..., beta_p of the ideal of a Groebner presentation, summed
+    over s from ``_graded_betti``: the one path to them, behind
+    ``betti_numbers``, ``verify_bresinsky`` and the rows of ``family_sweep``."""
+    betti = Counter()
+    for (i, _), b in _graded_betti(pres).items():
+        betti[i] += b
+    return [betti[i] for i in range(1, len(betti))]
 
 
-def _artinian_resolution(pres: GradedIdealPresentation) -> GradedResolution:
-    """The minimal resolution of R/(I + (x_z)) over the polynomial ring in
-    the variables other than x_z, the last variable of ``pres.order``.
+def _graded_betti(pres: GradedIdealPresentation) -> Counter:
+    """{(i, s): beta_{i,s}} of R/I, i = 0, ..., p, from R/(I + (x_z)) over
+    the ring of the variables other than x_z, the last of ``pres.order``.
 
     pres must hold a homogeneous minimal Groebner basis G of I under the
-    weighted grevlex order of its own weights (ValueError otherwise).  Then
-    x_z is a nonzerodivisor on R/I exactly when it divides no leading
-    monomial of G, which is checked (ValueError otherwise): with x_z last,
-    in(I + (x_z)) = in(I) + (x_z) and x_z is a nonzerodivisor on R/I iff on
-    R/in(I) (Bayer and Stillman).
-    So R/I and R/(I + (x_z)) have the same graded Betti numbers over their
-    polynomial rings (Bruns and Herzog, Cohen-Macaulay Rings, ch. 1), and G
-    with x_z set to 0 is a Groebner basis of (I + (x_z))/(x_z) under the
-    order restricted to the other variables, with the same leads: a mix of
-    binomials and monomials.  For the kernel of a monomial curve with x_z of
-    weight n_z this is k[S]/(t^(n_z)), of dimension n_z.
+    weighted grevlex order of its own weights, and x_z must divide no lead
+    of G (ValueError otherwise).  With x_z last, in(I + (x_z)) = in(I) +
+    (x_z), so x_z is then a nonzerodivisor on R/I (Bayer and Stillman), the
+    two quotients have the same graded Betti numbers (Bruns and Herzog,
+    Cohen-Macaulay Rings, ch. 1), and G with x_z set to 0 is a Groebner
+    basis of the reduction with the same leads, binomials and monomials.
+    For a monomial curve's kernel, x_z of weight n_z, it is k[S]/(t^(n_z)).
+
+    beta_{i,s} is the homology in degree s of F (x) k, F the Schreyer
+    resolution of ``_levels``: its differentials keep the constant entries
+    of each d_i.  With positive weights these sit where the row and column
+    shifts agree, so beta_{i,s} = rank F_{i,s} - rk(d_i (x) k)_s -
+    rk(d_{i+1} (x) k)_s, each rank that of one block (Eisenbud, The
+    Geometry of Syzygies, ch. 1), whose entries are looked up as the packed
+    monomials (r, 0) of the rows r of the column's shift.
     """
     order, weights = pres.order, pres.weights
     if order.kind != "weighted" or order.weights != weights:
         raise ValueError("the Artinian reduction needs the weighted grevlex "
                          "order of the presentation's weights")
+    if not pres.generators:
+        # R/(x_z) itself, free over the ring of the other variables, if any
+        return Counter({(0, 0): 1})
     z = order.perm[-1]
     variables = pres.variables[:z] + pres.variables[z + 1:]
     weights = weights[:z] + weights[z + 1:]
-    if not pres.generators:
-        # R/(x_z) itself, free over the ring of the other variables, if any
-        return GradedResolution([1], [[0]], [], variables, weights, minimal=True)
     reduced = MonomialOrder.weighted(weights, tuple(j - (j > z) for j in order.perm[:-1]))
     gens = []
     for g in pres.generators:
@@ -459,5 +489,35 @@ def _artinian_resolution(pres: GradedIdealPresentation) -> GradedResolution:
                              "a zero divisor, or the basis is not minimal")
         gens.append(Polynomial._raw(variables, {exp[:z] + exp[z + 1:]: c
                                                 for exp, c in g.terms.items() if not exp[z]}))
-    return minimalize(free_resolution(
-        GradedIdealPresentation(variables, weights, reduced, tuple(gens))))
+
+    def read(ring, levels):
+        graded, rows = Counter({(0, 0): 1}), [0]
+        for i, (columns, shifts) in enumerate(levels, 1):
+            graded.update((i, s) for s in shifts)
+            at: dict = {}       # shift -> the packed constants (r, 0) of its rows
+            for r, s in enumerate(rows):
+                at.setdefault(s, []).append(r << ring.codec.shift)
+            blocks: dict = {}
+            for col, s in zip(columns, shifts):
+                if s in at:
+                    blocks.setdefault(s, []).append({m: col[m] for m in at[s] if m in col})
+            for s, block in blocks.items():
+                graded.subtract(dict.fromkeys([(i - 1, s), (i, s)], _rank(block)))
+            rows = shifts
+        return +graded
+
+    return _levels(GradedIdealPresentation(variables, weights, reduced, tuple(gens)), read)
+
+
+def _rank(vectors) -> int:
+    """Rank over Q of sparse vectors {index: c}, by exact elimination."""
+    pivots: dict = {}       # index -> a reduced vector that is 1 there
+    for v in map(dict, vectors):
+        for p, w in pivots.items():
+            if c := v.get(p):
+                for q, wc in w.items():
+                    v[q] = v.get(q, 0) - c * wc
+        if v := {q: x for q, x in v.items() if x}:
+            p, c = next(iter(v.items()))
+            pivots[p] = {q: x * _inverse(c) for q, x in v.items()}
+    return len(pivots)

@@ -5,8 +5,8 @@ and 5 under slow.
 ``betti_numbers`` resolves the kernel that ``toric._apery_kernel`` reads
 off Ap(S, m), so a wrong fibre minimum shows in the Betti numbers; each
 window also pins that no curve takes a completion on the way.  On the
-symmetric curves the graded Betti numbers of the reduced minimal resolution
-are checked to be self-dual, as Kunz's theorem makes them.
+symmetric curves the graded Betti numbers that ``_graded_betti`` reads off
+the Artinian reduction are checked to be self-dual, as Kunz's theorem makes them.
 """
 
 from collections import Counter
@@ -17,7 +17,7 @@ from structure_oracle import (frobenius_and_members, is_complete_intersection,
 from windows import window_curves
 
 from monocurves import betti_numbers
-from monocurves.resolution import _artinian_resolution
+from monocurves.resolution import _graded_betti
 from monocurves.toric import _apery_kernel
 
 
@@ -27,8 +27,7 @@ def assert_self_dual(gens):
     self-dual (Kunz 1970)."""
     sigma = frobenius_and_members(gens)[0] + sum(gens)
     p = len(gens) - 1
-    graded = Counter((i, s) for i, level in enumerate(_artinian_resolution(
-        _apery_kernel(gens)).shifts) for s in level)
+    graded = _graded_betti(_apery_kernel(gens))
     assert graded == Counter({(p - i, sigma - s): b for (i, s), b in graded.items()}), gens
 
 
