@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
@@ -194,10 +193,6 @@ def family_sweep(family: str, params: Iterable, *,
             row["error"] = str(exc)
         rows.append(row)
     return rows
-
-
-def sweep_to_jsonl(rows: list[dict]) -> str:
-    return "\n".join(json.dumps(row, sort_keys=True) for row in rows)
 
 
 def sweep_to_text(rows: list[dict]) -> str:

@@ -194,13 +194,16 @@ class GroebnerBasis:
     ValueError for a pair that leaves a remainder; ``is_groebner_basis``
     reports such records instead.  The level's width is chosen by
     ``_widening`` and doubled whenever a division leaves it, so any exponent
-    is taken; the widest level built is kept.
+    is taken; the widest level built is kept.  The generators share one
+    ambient (ValueError otherwise).
     """
 
     def __init__(self, generators: Iterable[Polynomial], order: MonomialOrder):
         gens = tuple(generators)
         if any(not g for g in gens):
             raise ValueError("zero polynomial in basis")
+        if any(g.variables != gens[0].variables for g in gens):
+            raise ValueError("generators live in different ambients")
         self.generators = tuple(g.monic(order) for g in gens)
         self.order = order
         self._level = None

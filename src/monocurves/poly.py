@@ -108,8 +108,8 @@ def _coefficient(c):
     return c.numerator if c.denominator == 1 else c
 
 
-# a variable name that parse_polynomial reads back: letters, then digits
-_VARIABLE = re.compile(r"[A-Za-z]+\d*")
+# a variable name that parse_polynomial reads back: ASCII letters, then digits
+_VARIABLE = re.compile(r"[A-Za-z]+[0-9]*")
 
 
 def _check_variables(variables) -> None:
@@ -266,18 +266,6 @@ class Polynomial:
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = Polynomial.constant(self.variables, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     def scale(self, c) -> "Polynomial":
         c = _coefficient(c)
         if not c:
@@ -292,30 +280,6 @@ class Polynomial:
         exp = tuple(exp)
         return Polynomial._raw(self.variables,
                                {exp_add(e, exp): coeff * c for e, c in self.terms.items()})
-
-    def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Ring map sending variable i to images[i]; images share one ambient."""
-        if len(images) != len(self.variables):
-            raise ValueError("need one image per variable")
-        target = images[0].variables
-        for im in images:
-            if im.variables != target:
-                raise ValueError("images live in different ambients")
-        powers: dict[tuple[int, int], Polynomial] = {}
-
-        def power(i, e):
-            if (i, e) not in powers:
-                powers[(i, e)] = images[i] ** e
-            return powers[(i, e)]
-
-        total = Polynomial.zero(target)
-        for exp, c in self.terms.items():
-            term = Polynomial.constant(target, c)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * power(i, e)
-            total = total + term
-        return total
 
     # ---- order-dependent views ------------------------------------------
 
@@ -382,22 +346,6 @@ class DivisionRecord:
     quotients: tuple[Polynomial, ...]
     remainder: Polynomial
     via_coprime_criterion: bool = False
-
-    def check(self, dividend: Polynomial, divisors: Sequence[Polynomial],
-              order: MonomialOrder) -> bool:
-        total = self.remainder
-        for q, g in zip(self.quotients, divisors):
-            total = total + q * g
-        if total != dividend:
-            return False
-        if not dividend:
-            return True
-        top = order.key(dividend.leading(order)[0])
-        for q, g in zip(self.quotients, divisors):
-            prod = q * g
-            if prod and order.key(prod.leading(order)[0]) > top:
-                return False
-        return True
 
 
 def divide(f: Polynomial, divisors: Sequence[Polynomial],
@@ -482,7 +430,7 @@ def poly_to_str(f: Polynomial) -> str:
     return "".join(parts)
 
 
-_TOKEN = re.compile(rf"\s*(\d+|{_VARIABLE.pattern}|\^|\*|\+|-|/)")
+_TOKEN = re.compile(rf"\s*([0-9]+|{_VARIABLE.pattern}|\^|\*|\+|-|/)")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -504,7 +452,8 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
 
     Terms are signed products of factors; a factor is a rational number
     (``3``, ``3/4``) or a variable with optional ``^`` power; ``*`` between
-    factors is optional.
+    factors is optional.  Digits are ASCII.  Text outside the grammar raises
+    ValueError, never another exception.
     """
     variables = tuple(variables)
     _check_variables(variables)
@@ -519,9 +468,10 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
 
     def take():
         nonlocal pos
-        tok = toks[pos]
+        if pos == len(toks):
+            raise ValueError("polynomial text ends inside a factor")
         pos += 1
-        return tok
+        return toks[pos - 1]
 
     def parse_int() -> int:
         tok = take()
@@ -550,7 +500,10 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
                 num = parse_int()
                 if peek() == "/":
                     take()
-                    coeff = coeff * Fraction(num, parse_int())
+                    den = parse_int()
+                    if not den:
+                        raise ValueError("zero denominator in polynomial text")
+                    coeff = coeff * Fraction(num, den)
                 else:
                     coeff = coeff * num
             else:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import count
-from typing import Sequence
 
 from .groebner import GroebnerBasis, PackedLevel, remainder_error
 from .orders import MonomialOrder
@@ -30,57 +29,10 @@ from .poly import Polynomial, _inverse, exp_divides, exp_lcm, exp_sub, weighted_
 from .toric import GradedIdealPresentation, MonomialCurve, _apery_kernel, monomial_curve
 
 
-# ---- free module elements --------------------------------------------------
-
-class FreeModuleElement:
-    """Vector of polynomials in a graded free module.
-
-    ``shifts`` carries the weighted-degree label of each basis vector of the
-    ambient module, so homogeneity of the element is checkable locally.
-    """
-
-    __slots__ = ("coordinates", "shifts")
-
-    def __init__(self, coordinates: Sequence[Polynomial], shifts: Sequence[int]):
-        coordinates = tuple(coordinates)
-        if len(coordinates) != len(shifts):
-            raise ValueError("one shift per coordinate")
-        object.__setattr__(self, "coordinates", coordinates)
-        object.__setattr__(self, "shifts", tuple(shifts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeModuleElement is immutable")
-
-    def __reduce__(self):
-        return FreeModuleElement, (self.coordinates, self.shifts)
-
-    def __bool__(self):
-        return any(self.coordinates)
-
-    def __eq__(self, other):
-        return (isinstance(other, FreeModuleElement)
-                and self.coordinates == other.coordinates
-                and self.shifts == other.shifts)
-
-    def __repr__(self):
-        return "(" + ", ".join(str(p) for p in self.coordinates) + ")"
-
-    def leading(self, key):
-        """(position, exponents, coefficient) of the largest module monomial
-        under the module order ``key``."""
-        best = max(((pos, exp) for pos, poly in enumerate(self.coordinates)
-                    for exp in poly.terms), key=key, default=None)
-        if best is None:
-            raise ValueError("zero element has no leading term")
-        pos, exp = best
-        return pos, exp, self.coordinates[pos].terms[exp]
-
-    def sort_key(self):
-        return tuple(p.sort_key() for p in self.coordinates)
-
-
 def _dense_key(coords: list[dict]):
-    """``FreeModuleElement.sort_key`` of an element given by its coordinates."""
+    """The tie key of a module element given by its coordinates {exp: c}:
+    per position, its sorted (exponents, (numerator, denominator)) terms,
+    as ``Polynomial.sort_key`` ranks one polynomial."""
     return tuple(tuple(sorted((exp, (c.numerator, c.denominator)) for exp, c in h.items()))
                  for h in coords)
 
@@ -167,22 +119,21 @@ def _kept_syzygies(level: PackedLevel):
     return [syzygy(n) for n in kept], [leads[n] for n in kept]
 
 
-def schreyer_syzygies(gb: GroebnerBasis, weights=None) -> list[FreeModuleElement]:
+def schreyer_syzygies(gb: GroebnerBasis) -> list[tuple[Polynomial, ...]]:
     """Generators of Syz(g_1, ..., g_t) read off the S-pair transcripts,
-    one for every pair, in pair order."""
+    one for every pair (i, j), i < j, in pair order: the coordinates
+    (h_1, ..., h_t) with sum h_k g_k = 0, where h_i = q_i - u, h_j = q_j + v,
+    h_k = q_k otherwise, u g_i - v g_j the S-polynomial and q its quotients
+    (``GroebnerBasis.transcript``)."""
     if len(gb) <= 1:
         return []
-    if weights is None:
-        weights = (1,) * len(gb.generators[0].variables)
-    shifts = tuple(g.weighted_degree(weights) for g in gb.generators)
     variables = gb.generators[0].variables
 
     def syzygies(level):
         pairs = _pairs(level.leads)
         return [level.coordinates(_syzygy(level, pairs, n), len(gb)) for n in range(len(pairs))]
 
-    return [FreeModuleElement([Polynomial._raw(variables, {exp: -c for exp, c in h.items()})
-                               for h in coords], shifts)
+    return [tuple(Polynomial._raw(variables, {exp: -c for exp, c in h.items()}) for h in coords)
             for coords in gb._on_level(syzygies)]
 
 
@@ -193,12 +144,12 @@ def _prune_and_sort(leads, tie_key) -> list[int]:
     read off its S-pair (at level 0, ``Polynomial.leading``): no term is
     ranked here.  Returns the kept indices.  An element whose leading
     monomial another kept one at the same position divides is redundant;
-    of equal leading monomials the first by tie_key (the element's
-    ``FreeModuleElement.sort_key``, called only inside such groups) is
-    kept.  Survivors are sorted by position, then by descending plain-lex
-    leading exponent; so each level drops one more variable from the
-    leading monomials, which caps the resolution length by the variable
-    count.
+    of equal leading monomials the first by tie_key (``_dense_key`` of the
+    element's coordinates, or at level 0 its ``Polynomial.sort_key``,
+    called only inside such groups) is kept.  Survivors are sorted by
+    position, then by descending plain-lex leading exponent; so each level
+    drops one more variable from the leading monomials, which caps the
+    resolution length by the variable count.
     """
     groups: dict = {}
     for k, lead in enumerate(leads):
@@ -241,36 +192,6 @@ class GradedResolution:
     @property
     def betti(self) -> list[int]:
         return list(self.ranks[1:])
-
-    def is_complex(self) -> bool:
-        """Exact check that consecutive differentials compose to zero."""
-        for k in range(len(self.differentials) - 1):
-            a = self.differentials[k]
-            b = self.differentials[k + 1]
-            for r in range(self.ranks[k]):
-                for c in range(self.ranks[k + 2]):
-                    acc = Polynomial.zero(self.variables)
-                    for m in range(self.ranks[k + 1]):
-                        acc = acc + a[r][m] * b[m][c]
-                    if acc:
-                        return False
-        return True
-
-    def is_homogeneous(self) -> bool:
-        for k, mat in enumerate(self.differentials):
-            for r, row in enumerate(mat):
-                for c, entry in enumerate(row):
-                    if not entry:
-                        continue
-                    want = self.shifts[k + 1][c] - self.shifts[k][r]
-                    if (not entry.is_weighted_homogeneous(self.weights)
-                            or entry.weighted_degree(self.weights) != want):
-                        return False
-        return True
-
-    def has_constant_entries(self) -> bool:
-        return any(_constant_value(e) is not None
-                   for mat in self.differentials for row in mat for e in row)
 
     def to_json_dict(self) -> dict:
         return {

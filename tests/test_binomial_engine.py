@@ -16,6 +16,7 @@ import random
 from contextlib import contextmanager
 
 import pytest
+from checkers import substitute
 from kernel_oracle import polynomial_complete, polynomial_reduce, restart_minimal_generators
 from windows import window_curves
 
@@ -287,7 +288,7 @@ def packed_outputs(exponents):
     res = free_resolution(pres)
     return out + [is_groebner_basis(pres.generators, pres.order),
                   is_groebner_basis(mingens, pres.order),
-                  schreyer_syzygies(pres.groebner_basis(), pres.weights), res, minimalize(res)]
+                  schreyer_syzygies(pres.groebner_basis()), res, minimalize(res)]
 
 
 @pytest.mark.parametrize("bits", [32, 64, 128])
@@ -316,7 +317,7 @@ def vanishes_by_substitution(pres):
     """The old eta_check: substitute t^(n_i) into every generator."""
     target = ("t",)
     images = [Polynomial.monomial(target, (e,)) for e in pres.weights]
-    return all(not g.substitute(images) for g in pres.generators)
+    return all(not substitute(g, images) for g in pres.generators)
 
 
 def test_eta_check_matches_substitution():

@@ -7,8 +7,7 @@ from monocurves import (NumericalSemigroup, buchberger, bresinsky_generators,
                         bresinsky_order, bresinsky_sequence,
                         concatenation_semigroup, eta_check, families,
                         family_sweep, free_resolution, minimalize,
-                        parametrization_kernel, sweep_to_jsonl, sweep_to_text,
-                        verify_bresinsky)
+                        parametrization_kernel, sweep_to_text, verify_bresinsky)
 from monocurves.toric import GradedIdealPresentation
 
 
@@ -181,11 +180,10 @@ def test_sweep_propagates_broken_invariants(monkeypatch):
 
 
 def test_sweep_serialization():
+    # the rows are plain JSON values, as concat-sweep --format json prints them
     rows = family_sweep("bresinsky", [4])
-    lines = sweep_to_jsonl(rows).splitlines()
-    assert len(lines) == 1
-    parsed = json.loads(lines[0])
-    assert parsed["params"] == {"q2": 4}
+    assert json.loads(json.dumps(rows, sort_keys=True)) == rows
+    assert len(rows) == 1 and rows[0]["params"] == {"q2": 4}
     text = sweep_to_text(rows)
     assert "q2=4" in text and "beta=[8, 12, 5]" in text
 

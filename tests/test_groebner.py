@@ -310,6 +310,17 @@ def test_groebner_basis_container():
         GroebnerBasis([Polynomial.zero(XY)], LEX2)
 
 
+def test_groebner_basis_rejects_mixed_ambients():
+    # two generators of one arity in different rings: the basis refuses
+    # them, as buchberger does, so no transcript, criterion record or
+    # syzygy mixes the two rings
+    gens = [p("x0^2 - x1"), p("y0 - y1", ("y0", "y1"))]
+    for build in (GroebnerBasis, is_groebner_basis):
+        with pytest.raises(ValueError, match="^generators live in different ambients$"):
+            build(gens, LEX2)
+    assert GroebnerBasis(gens[:1], LEX2).generators == (p("x0^2 - x1"),)
+
+
 def test_exponent_overflow_raises_in_lex_division():
     # lex division is not degree-bounded: the tails of a lex basis may pass
     # the top of a 16-bit field, in the S-vector or in a reduction step

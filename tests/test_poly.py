@@ -3,15 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from checkers import division_holds, power, substitute
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monocurves import (FreeModuleElement, GroebnerBasis, MonomialOrder,
-                        NumericalSemigroup, Polynomial, bresinsky_sequence, buchberger,
-                        concatenation_semigroup, derivation_rank, divide,
-                        free_resolution, monomial_curve, parametrization_kernel,
-                        parse_polynomial, poly_to_str, reduce_basis, s_polynomial,
-                        verify_bresinsky)
+from monocurves import (GroebnerBasis, MonomialOrder, NumericalSemigroup, Polynomial,
+                        bresinsky_sequence, buchberger, concatenation_semigroup,
+                        derivation_rank, divide, free_resolution, monomial_curve,
+                        parametrization_kernel, parse_polynomial, poly_to_str,
+                        reduce_basis, s_polynomial, verify_bresinsky)
 
 XY = ("x0", "x1")
 LEX2 = MonomialOrder.lex(2)
@@ -60,10 +60,10 @@ def test_product_of_conjugates():
 
 
 def test_pow():
-    assert p("x0 + 1") ** 3 == p("x0^3 + 3*x0^2 + 3*x0 + 1")
-    assert p("x0") ** 0 == p("1")
+    assert power(p("x0 + 1"), 3) == p("x0^3 + 3*x0^2 + 3*x0 + 1")
+    assert power(p("x0"), 0) == p("1")
     with pytest.raises(ValueError, match="negative exponent"):
-        p("x0") ** -1
+        power(p("x0"), -1)
 
 
 def test_scale():
@@ -74,13 +74,13 @@ def test_substitute_eta_vanishing():
     f = p("x0^3 - x1^2")
     t = ("t",)
     images = [Polynomial.monomial(t, (2,)), Polynomial.monomial(t, (3,))]
-    assert not f.substitute(images)
+    assert not substitute(f, images)
     g = p("x0 - x1")
-    assert g.substitute(images) == parse_polynomial("t^2 - t^3", t)
+    assert substitute(g, images) == parse_polynomial("t^2 - t^3", t)
     with pytest.raises(ValueError, match="need one image per variable"):
-        f.substitute(images[:1])
+        substitute(f, images[:1])
     with pytest.raises(ValueError, match="images live in different ambients"):
-        f.substitute([images[0], Polynomial.monomial(("s",), (3,))])
+        substitute(f, [images[0], Polynomial.monomial(("s",), (3,))])
 
 
 def test_leading_data():
@@ -184,8 +184,7 @@ def test_public_values_pickle():
     assert loaded.transcript(0, 1) == record
 
     semigroup = NumericalSemigroup((3, 5, 7))
-    values = [f, pres, record, divide(f, [p("x1 - 1")], LEX2),
-              FreeModuleElement((f, p("x0")), (4, 2)), free_resolution(pres),
+    values = [f, pres, record, divide(f, [p("x1 - 1")], LEX2), free_resolution(pres),
               semigroup, NumericalSemigroup((1,)), semigroup.basic_invariants(),
               semigroup.apery_set(5), derivation_rank(semigroup), monomial_curve((3, 5, 7)),
               bresinsky_sequence(4), verify_bresinsky(bresinsky_sequence(4)),
@@ -250,7 +249,7 @@ def test_division_reconstruction_random():
         if not divisors:
             continue
         rec = divide(f, divisors, LEX2)
-        assert rec.check(f, divisors, LEX2)
+        assert division_holds(rec, f, divisors, LEX2)
         # no remainder monomial is divisible by a divisor leading monomial
         for exp in rec.remainder.terms:
             for g in divisors:
@@ -341,6 +340,32 @@ def test_parse_errors():
         p("x0 $ x1")
     with pytest.raises(ValueError, match="expected integer, got 'y'"):
         p("x0^y")
+    # the text ends inside a factor, a zero denominator, a non-ASCII digit
+    with pytest.raises(ValueError, match="polynomial text ends inside a factor"):
+        p("x0^")
+    with pytest.raises(ValueError, match="zero denominator in polynomial text"):
+        p("1/0")
+    with pytest.raises(ValueError, match="cannot tokenize '\u0663\\*x0'"):
+        p("\u0663*x0")
+    with pytest.raises(ValueError, match="is not a name"):
+        Polynomial(("x\u0663",), {(1,): 1})
+
+
+# tokens of the grammar, a few that lie outside it, and the bare characters
+_PARSE_TOKENS = ["x0", "x1", "y", "0", "1", "2", "10", "^", "*", "+", "-", "/", " ", "\u0663"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from(_PARSE_TOKENS), max_size=8).map("".join)
+       | st.text("0123456789xy^*+-/ \u0663", max_size=10))
+def test_parse_raises_only_value_error(text):
+    # outside input either parses, and then prints back to the same
+    # polynomial, or raises ValueError
+    try:
+        f = p(text)
+    except ValueError:
+        return
+    assert p(poly_to_str(f)) == f
 
 
 def test_round_trip_random():
