@@ -172,7 +172,7 @@ def _cmd_resolution(args):
 
 def _cmd_betti(args):
     curve = _curve(args.generators, args)
-    betti = betti_numbers(curve, max_basis=args.max_gb)
+    betti = betti_numbers(curve)
     payload = {"generators": list(curve.exponents), "betti": betti}
     return payload, [f"betti numbers: {betti}"]
 
@@ -204,6 +204,10 @@ def _cmd_concat_sweep(args):
               for a in _parse_range(args.a)
               for d in _parse_range(args.d)
               for b in _parse_range(args.b)]
+    # the count of _concatenation_generators(a, d, b, p), checked before any
+    # generator is built: p is the same at every grid point
+    count = max(args.p - 1, 0) + 2
+    _guard(count <= args.max_vars, f"{count} variables exceed the bound {args.max_vars}")
     for a, d, b, p in params:
         _check_guards(_concatenation_generators(a, d, b, p), args)
     rows = family_sweep("concatenation", params, max_basis=args.max_gb)
@@ -257,7 +261,7 @@ def _arguments(*extra, gens=True, guards=_GUARDS):
 
 
 # a command takes only the guards it reads: no Groebner basis is built by
-# semigroup and derivations, and a Bresinsky curve always has 4 variables
+# semigroup, derivations and betti, and a Bresinsky curve always has 4 variables
 _NO_BASIS = ("--max-vars", "--max-conductor")
 _RANGE = {"required": True, "help": "value or range lo:hi"}
 
@@ -272,7 +276,8 @@ _COMMANDS = {
     "resolution": (_cmd_resolution, "graded free resolution", _arguments(
         ("--non-minimal", {"action": "store_true",
                            "help": "emit the raw Schreyer resolution"}))),
-    "betti": (_cmd_betti, "Betti numbers of the defining ideal", _arguments()),
+    "betti": (_cmd_betti, "Betti numbers of the defining ideal",
+              _arguments(guards=_NO_BASIS)),
     "bresinsky": (_cmd_bresinsky, "Bresinsky instance and verification", _arguments(
         ("--q2", {"type": int, "required": True}), ("--verify", {"action": "store_true"}),
         gens=False, guards=("--max-conductor", "--max-gb"))),

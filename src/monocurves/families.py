@@ -9,9 +9,9 @@ from typing import Iterable
 from .groebner import ComputationLimitExceeded, buchberger
 from .orders import MonomialOrder
 from .poly import Polynomial
-from .resolution import _betti
+from .resolution import betti_numbers
 from .semigroup import NumericalSemigroup
-from .toric import _apery_kernel, eta_check, parametrization_kernel
+from .toric import MonomialCurve, _apery_kernel, eta_check, parametrization_kernel
 
 _BRESINSKY_VARS = ("x1", "x2", "x3", "x4")
 
@@ -88,10 +88,9 @@ def verify_bresinsky(inst: BresinskyInstance, *,
 
     it equals the defining ideal (mutual reduction to zero), it is a
     Groebner basis under lex x3 > x2 > x1 > x4, and its Betti numbers are
-    (2*q2, 4*(q2-1), 2*q2-3).  They come from the kernel computed for the
-    first check, so the kernel is computed once: x4 has the least weight
-    and comes last in its order, so ``_betti`` reads them off the constant
-    blocks of the Schreyer resolution of k[S]/(t^(q2*d1)) in x1, x2, x3.
+    (2*q2, 4*(q2-1), 2*q2-3).  The kernel serves the first check alone:
+    ``betti_numbers`` reads the Betti numbers off the Koszul homology of
+    k[S]/(t^(q2*d1)) over Ap(S, q2*d1), x4 having the least weight.
     """
     gens = bresinsky_generators(inst)
     # buchberger appends to S exactly when some S-pair leaves a remainder
@@ -103,7 +102,7 @@ def verify_bresinsky(inst: BresinskyInstance, *,
     generates = (all(not kernel_gb.normal_form(g) for g in gens)
                  and all(not s_gb.normal_form(g) for g in kernel.generators))
 
-    betti = tuple(_betti(kernel))
+    betti = tuple(betti_numbers(MonomialCurve(inst.n)))
     expected = (2 * inst.q2, 4 * (inst.q2 - 1), 2 * inst.q2 - 3)
     return BresinskyReport(generates, is_gb, betti == expected, betti, expected)
 
@@ -149,9 +148,10 @@ def concatenation_semigroup(a: int, d: int, b: int, p: int):
 
 def _curve_row(semigroup: NumericalSemigroup, *, max_basis: int | None = None) -> dict:
     # the kernel under its x_low order, before any step under the output
-    # order: the row reads only its Betti numbers and eta_check
-    pres = _apery_kernel(semigroup.minimal_generators, max_basis=max_basis)
-    betti = _betti(pres)
+    # order, for eta_check alone; the Betti numbers take no kernel
+    gens = semigroup.minimal_generators
+    pres = _apery_kernel(gens, max_basis=max_basis)
+    betti = betti_numbers(MonomialCurve(gens))
     return {
         "beta": betti,
         "beta1": betti[0],

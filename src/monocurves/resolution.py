@@ -11,10 +11,10 @@ integer key under the level's ``SchreyerOrder``, and every level, the ring
 level included, divides its S-pairs by ``PackedLevel.spair_division``.  The
 leading monomial of each syzygy is read off its pair (Schreyer's theorem),
 so a level is pruned on those leads first and only the kept pairs are
-divided.  ``_levels`` walks these levels once for both readers:
-``free_resolution`` builds dense differentials, which minimalization
-reduces one unit entry at a time by Schur complements; the Betti numbers
-are read off the constant blocks of the packed levels, one rank a degree.
+divided.  ``free_resolution`` builds dense differentials from these
+levels, which minimalization reduces one unit entry at a time by Schur
+complements.  The Betti numbers of a curve take no resolution: they are
+the Koszul homology of k[S]/(t^m) over Ap(S, m), one rank a degree.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from itertools import count
 
 from .groebner import GroebnerBasis, PackedLevel, remainder_error
-from .orders import MonomialOrder
 from .poly import Polynomial, _inverse, exp_divides, exp_lcm, exp_sub, weighted_degree
-from .toric import GradedIdealPresentation, MonomialCurve, _apery_kernel, monomial_curve
+from .toric import GradedIdealPresentation, MonomialCurve, _fibre_minima, monomial_curve
 
 
 def _dense_key(coords: list[dict]):
@@ -226,26 +225,24 @@ def _constant_value(poly: Polynomial):
     return c
 
 
-def _levels(pres: GradedIdealPresentation, read):
-    """read(ring, levels) on the Schreyer resolution of R/I from a graded
-    presentation of I, where levels yields (columns, shifts) for d_1, d_2,
-    ...: columns[c] is the packed term map of the image of the c-th basis
-    vector, shifts[c] its degree, and ``ring.coordinates`` unpacks them.
+def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
+    """Schreyer resolution of R/I from a graded presentation of I, its
+    differentials dense matrices of ``Polynomial``s.
 
     The generators must be a Groebner basis for ``pres.order`` (ValueError
     otherwise).  Each level, they and then the Schreyer syzygies of the
     previous one (a Groebner basis in the induced order), is pruned to a
     minimal basis and sorted, so iteration stops at the variable-count bound.
     Every level packs its monomials at the width ``GroebnerBasis`` chose
-    for the generators; a level that outgrows it reruns read twice as wide,
-    so any exponent is taken.  With no generators read gets no levels.
+    for the generators; a level that outgrows it reruns the resolution
+    twice as wide, so any exponent is taken.
     """
     variables, weights = pres.variables, pres.weights
     for g in pres.generators:
         if not g.is_weighted_homogeneous(weights):
             raise ValueError(f"non-homogeneous generator {g}")
     if not pres.generators:
-        return read(None, iter(()))
+        return GradedResolution([1], [[0]], [], variables, weights)
     gens = [g.monic(pres.order) for g in pres.generators]
     leads = [(0, g.leading(pres.order)[0]) for g in gens]
     kept = _prune_and_sort(leads, lambda k: gens[k].sort_key())
@@ -256,40 +253,27 @@ def _levels(pres: GradedIdealPresentation, read):
     if any(gb.normal_form(pres.generators[k]) for k in sorted(dropped)):
         raise ValueError("presentation generators are not a Groebner basis")
 
-    def levels(level):
-        # level holds the columns just yielded as its elements
-        columns = [{m: c for m, _, c in terms} for terms in level.elements]
-        leads, shifts = level.leads, [0]
+    def resolve(ring):
+        # columns[c] is the packed term map of the image of the c-th basis
+        # vector of the level, its lead leads[c]
+        level, shifts, diffs = ring, [[0]], []
+        columns = [{m: c for m, _, c in terms} for terms in ring.elements]
+        leads = ring.leads
         for depth in count(1):
-            shifts = [weighted_degree(exp, weights) + shifts[pos] for pos, exp in leads]
-            yield columns, shifts
+            rank = len(shifts[-1])
+            shifts.append([weighted_degree(exp, weights) + shifts[-1][pos] for pos, exp in leads])
+            coords = [ring.coordinates(col, rank) for col in columns]
+            diffs.append([[Polynomial._raw(variables, col[r]) for col in coords]
+                          for r in range(rank)])
             columns, leads = _kept_syzygies(level)
             if not columns:
-                return
+                return GradedResolution([len(s) for s in shifts], shifts, diffs,
+                                        variables, weights)
             if depth >= len(variables):
                 raise AssertionError("resolution exceeded the variable-count bound")
             level = PackedLevel(level.order.next(level.leads), columns, leads)
 
-    return gb._on_level(lambda ring: read(ring, levels(ring)))
-
-
-def free_resolution(pres: GradedIdealPresentation) -> GradedResolution:
-    """Schreyer resolution of R/I from a graded presentation of I, whose
-    generators must be a Groebner basis (ValueError otherwise), its
-    differentials dense matrices of ``Polynomial``s (``_levels``)."""
-    variables, weights = pres.variables, pres.weights
-
-    def read(ring, levels):
-        shifts, diffs = [[0]], []
-        for columns, degrees in levels:
-            rank = len(shifts[-1])
-            coords = [ring.coordinates(col, rank) for col in columns]
-            diffs.append([[Polynomial._raw(variables, col[r]) for col in coords]
-                          for r in range(rank)])
-            shifts.append(degrees)
-        return GradedResolution([len(s) for s in shifts], shifts, diffs, variables, weights)
-
-    return _levels(pres, read)
+    return gb._on_level(resolve)
 
 
 def _first_unit(mat, start, rows, columns):
@@ -350,84 +334,67 @@ def minimalize(res: GradedResolution) -> GradedResolution:
                             minimal=True)
 
 
-def betti_numbers(curve, *, max_basis: int | None = None) -> list[int]:
-    """Betti numbers beta_1, ..., beta_p of the curve's defining ideal, read
-    off the Artinian reduction of the kernel that ``toric._apery_kernel``
-    reads off Ap(S, m): no completion and no ``minimalize`` (``_betti``)."""
+def betti_numbers(curve) -> list[int]:
+    """Betti numbers beta_1, ..., beta_p of the curve's defining ideal, the
+    graded ones of ``_graded_betti`` summed over s: no kernel, no Groebner
+    basis and no resolution is built."""
     if not isinstance(curve, MonomialCurve):
         curve = monomial_curve(tuple(curve))
-    return _betti(_apery_kernel(curve.exponents, curve.variables, max_basis))
-
-
-def _betti(pres: GradedIdealPresentation) -> list[int]:
-    """beta_1, ..., beta_p of the ideal of a Groebner presentation, summed
-    over s from ``_graded_betti``: the one path to them, behind
-    ``betti_numbers``, ``verify_bresinsky`` and the rows of ``family_sweep``."""
-    betti = Counter()
-    for (i, _), b in _graded_betti(pres).items():
+    betti = [0] * len(curve.exponents)
+    for (i, _), b in _graded_betti(curve.exponents).items():
         betti[i] += b
-    return [betti[i] for i in range(1, len(betti))]
+    return betti[1:]
 
 
-def _graded_betti(pres: GradedIdealPresentation) -> Counter:
-    """{(i, s): beta_{i,s}} of R/I, i = 0, ..., p, from R/(I + (x_z)) over
-    the ring of the variables other than x_z, the last of ``pres.order``.
+def _graded_betti(exponents) -> Counter:
+    """{(i, s): beta_{i,s}} of k[S], i = 0, ..., p, over the ring of one
+    variable per exponent, by Koszul homology over Ap(S, m).
 
-    pres must hold a homogeneous minimal Groebner basis G of I under the
-    weighted grevlex order of its own weights, and x_z must divide no lead
-    of G (ValueError otherwise).  With x_z last, in(I + (x_z)) = in(I) +
-    (x_z), so x_z is then a nonzerodivisor on R/I (Bayer and Stillman), the
-    two quotients have the same graded Betti numbers (Bruns and Herzog,
-    Cohen-Macaulay Rings, ch. 1), and G with x_z set to 0 is a Groebner
-    basis of the reduction with the same leads, binomials and monomials.
-    For a monomial curve's kernel, x_z of weight n_z, it is k[S]/(t^(n_z)).
-
-    beta_{i,s} is the homology in degree s of F (x) k, F the Schreyer
-    resolution of ``_levels``: its differentials keep the constant entries
-    of each d_i.  With positive weights these sit where the row and column
-    shifts agree, so beta_{i,s} = rank F_{i,s} - rk(d_i (x) k)_s -
-    rk(d_{i+1} (x) k)_s, each rank that of one block (Eisenbud, The
-    Geometry of Syzygies, ch. 1), whose entries are looked up as the packed
-    monomials (r, 0) of the rows r of the column's shift.
+    With m the least exponent and n_1, ..., n_p the others, t^m is a
+    nonzerodivisor on k[S], so k[S] and B = k[S]/(t^m) over the other p
+    variables have the same graded Betti numbers (Bruns and Herzog,
+    Cohen-Macaulay Rings, ch. 1).  B has the basis t^w, w in Ap(S, m), and
+    x_j t^w is t^(w + n_j) when w + n_j lies in Ap(S, m), 0 otherwise.  So
+    beta_{i,s} is the homology in degree s of the Koszul complex K(x; B)
+    (Stamate, Betti numbers for numerical semigroup rings, 2018): its basis
+    in degree s and homological degree i is one e_F t^(s - n_F) for each
+    i-subset F of the others with s - n_F in Ap(S, m), and d(e_F t^w) is
+    the sum over the t-th member j of F of (-1)^t e_(F - j) t^(w + n_j).
+    In degree s a vector is named by F alone, and e_(F - j) t^(w + n_j) is
+    one exactly when F - j is named there, so each differential is a block
+    of +-1 rows and beta_{i,s} = #F_{i,s} - rk d_i - rk d_(i+1), every rank
+    taken by ``_rank``.  Ap(S, m) is the weighted degrees of the mu(w) of
+    ``toric._fibre_minima``; at most m 2^p vectors occur.
     """
-    order, weights = pres.order, pres.weights
-    if order.kind != "weighted" or order.weights != weights:
-        raise ValueError("the Artinian reduction needs the weighted grevlex "
-                         "order of the presentation's weights")
-    if not pres.generators:
-        # R/(x_z) itself, free over the ring of the other variables, if any
-        return Counter({(0, 0): 1})
-    z = order.perm[-1]
-    variables = pres.variables[:z] + pres.variables[z + 1:]
-    weights = weights[:z] + weights[z + 1:]
-    reduced = MonomialOrder.weighted(weights, tuple(j - (j > z) for j in order.perm[:-1]))
-    gens = []
-    for g in pres.generators:
-        if not g.is_weighted_homogeneous(pres.weights):
-            raise ValueError(f"non-homogeneous generator {g}")
-        if g.leading(order)[0][z]:
-            raise ValueError(f"{pres.variables[z]} divides the leading term of {g}: "
-                             "a zero divisor, or the basis is not minimal")
-        gens.append(Polynomial._raw(variables, {exp[:z] + exp[z + 1:]: c
-                                                for exp, c in g.terms.items() if not exp[z]}))
-
-    def read(ring, levels):
-        graded, rows = Counter({(0, 0): 1}), [0]
-        for i, (columns, shifts) in enumerate(levels, 1):
-            graded.update((i, s) for s in shifts)
-            at: dict = {}       # shift -> the packed constants (r, 0) of its rows
-            for r, s in enumerate(rows):
-                at.setdefault(s, []).append(r << ring.codec.shift)
-            blocks: dict = {}
-            for col, s in zip(columns, shifts):
-                if s in at:
-                    blocks.setdefault(s, []).append({m: col[m] for m in at[s] if m in col})
-            for s, block in blocks.items():
-                graded.subtract(dict.fromkeys([(i - 1, s), (i, s)], _rank(block)))
-            rows = shifts
-        return +graded
-
-    return _levels(GradedIdealPresentation(variables, weights, reduced, tuple(gens)), read)
+    exponents = tuple(exponents)
+    low = exponents.index(min(exponents))
+    others = tuple(j for j in range(len(exponents)) if j != low)
+    apery = [weighted_degree(u, exponents)
+             for u in _fibre_minima(exponents, others, exponents[low]).values()]
+    # per subset F, a bitmask over others: n_F, |F| and the faces (F - j, (-1)^t)
+    degree, size, faces = [0], [0], [()]
+    for bit, j in enumerate(others):
+        top = 1 << bit
+        for f in range(top):
+            degree.append(degree[f] + exponents[j])
+            size.append(size[f] + 1)
+            faces.append(tuple((g | top, c) for g, c in faces[f]) + ((f, (-1) ** size[f]),))
+    vectors: dict = {}      # s -> {F: |F|}, one per vector e_F t^(s - n_F)
+    for w in apery:
+        for f, n in enumerate(degree):
+            vectors.setdefault(w + n, {})[f] = size[f]
+    graded: dict = {}
+    for s, named in vectors.items():
+        rows: dict = {}     # i -> the nonzero rows of d_i in degree s
+        for f, i in named.items():
+            graded[i, s] = graded.get((i, s), 0) + 1
+            if row := {g: c for g, c in faces[f] if g in named}:
+                rows.setdefault(i, []).append(row)
+        for i, block in rows.items():
+            rank = _rank(block)
+            graded[i - 1, s] -= rank
+            graded[i, s] -= rank
+    return Counter({key: b for key, b in graded.items() if b})
 
 
 def _rank(vectors) -> int:

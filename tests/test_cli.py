@@ -56,6 +56,36 @@ def test_betti(capsys):
     assert run_json(capsys, "betti", "3", "5", "7")["betti"] == [3, 2]
 
 
+def test_betti_builds_no_kernel_and_no_basis(capsys, monkeypatch):
+    # betti takes Koszul homology over Ap(S, m): spies on the kernel read off
+    # Ap(S, m), under every name a module holds it by, and on GroebnerBasis
+    from monocurves import groebner, toric
+
+    built = []
+    kernel, init = toric._apery_kernel, groebner.GroebnerBasis.__init__
+
+    def kernel_spy(*args, **kwargs):
+        built.append("kernel")
+        return kernel(*args, **kwargs)
+
+    def init_spy(self, *args, **kwargs):
+        built.append("basis")
+        init(self, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "monocurves" and vars(module).get("_apery_kernel") is kernel:
+            monkeypatch.setattr(module, "_apery_kernel", kernel_spy)
+    monkeypatch.setattr(groebner.GroebnerBasis, "__init__", init_spy)
+    for gens in [("3", "5", "7"), ("12", "15", "20", "23"), ("20", "15", "23", "12")]:
+        assert run(capsys, "betti", *gens)[0] == 0
+    assert run(capsys, "betti", "40", "41", "43", "47", "53", "59", "61", "--max-vars", "7",
+               "--format", "json")[0] == 0
+    assert built == []
+    # the spies see what resolution builds
+    assert run(capsys, "resolution", "3", "5", "7")[0] == 0
+    assert "kernel" in built and "basis" in built
+
+
 def test_ideal(capsys):
     payload = run_json(capsys, "ideal", "3", "5", "7")
     assert payload["beta1"] == 3
@@ -192,6 +222,15 @@ def test_concat_sweep_guards_every_generator(capsys):
     assert "7 variables exceed the bound 6" in err
 
 
+def test_concat_sweep_counts_before_it_builds(capsys):
+    # the p + 1 generators of a grid point are counted before any is built
+    code, out, err = run(capsys, "concat-sweep", "--a", "5", "--d", "3", "--b", "19",
+                         "--p", "1000000000000")
+    assert (code, out) == (2, "")
+    assert err == ("error: computation exceeds configured bounds "
+                   "(1000000000001 variables exceed the bound 6)\n")
+
+
 def test_validation_exit_code(capsys):
     code, _, err = run(capsys, "semigroup", "4", "6")
     assert code == 1
@@ -211,20 +250,19 @@ def test_guard_exit_code(capsys):
     assert code == 0
     code, _, _ = run(capsys, "betti", "3", "5", "7", "11", "13", "16", "17")
     assert code == 2  # too many variables
-    code, _, err = run(capsys, "betti", "--max-gb", "2", "12", "15", "20", "23")
+    code, _, err = run(capsys, "ideal", "--max-gb", "2", "12", "15", "20", "23")
     assert code == 2  # the kernel's Groebner basis outgrows 2 elements
     assert "exceeded 2 elements" in err
-    # betti reads 8 elements off Ap(S, 12); ideal completes them to 11
-    for command, least in [("betti", 8), ("ideal", 11)]:
-        code, _, err = run(capsys, command, "--max-gb", str(least - 1), "12", "15", "20", "23")
-        assert code == 2 and f"exceeded {least - 1} elements" in err, command
-        code, _, _ = run(capsys, command, "--max-gb", str(least), "12", "15", "20", "23")
-        assert code == 0, command
+    # ideal reads 8 elements off Ap(S, 12) and completes them to 11
+    code, _, err = run(capsys, "ideal", "--max-gb", "10", "12", "15", "20", "23")
+    assert code == 2 and "exceeded 10 elements" in err
+    code, _, _ = run(capsys, "ideal", "--max-gb", "11", "12", "15", "20", "23")
+    assert code == 0
 
 
 def test_negative_guards_are_usage_errors(capsys):
     # a bound below 0 is malformed input (exit 1), not work over budget
-    for argv in [("betti", "3", "5", "7", "--max-gb", "-1"),
+    for argv in [("ideal", "3", "5", "7", "--max-gb", "-1"),
                  ("betti", "3", "5", "7", "--max-vars", "-1"),
                  ("semigroup", "3", "5", "7", "--max-conductor", "-1"),
                  ("bresinsky", "--q2", "4", "--verify", "--max-gb", "-1"),
@@ -233,18 +271,19 @@ def test_negative_guards_are_usage_errors(capsys):
         flag, value = argv[-2:]
         assert (code, out) == (1, ""), argv
         assert err.endswith(f"error: argument {flag}: must be at least 0, got {value}\n"), argv
-    code, _, err = run(capsys, "betti", "3", "5", "7", "--max-gb", "x")
+    code, _, err = run(capsys, "ideal", "3", "5", "7", "--max-gb", "x")
     assert code == 1 and "argument --max-gb: invalid int value: 'x'" in err
     # 0 is a bound: the kernel of (3, 5, 7) exceeds it
-    code, _, err = run(capsys, "betti", "3", "5", "7", "--max-gb", "0")
+    code, _, err = run(capsys, "ideal", "3", "5", "7", "--max-gb", "0")
     assert code == 2 and "exceeded 0 elements" in err
 
 
 def test_no_command_takes_a_guard_it_does_not_read(capsys):
-    # semigroup and derivations build no Groebner basis, and a Bresinsky
-    # curve always has 4 variables
+    # semigroup, derivations and betti build no Groebner basis, and a
+    # Bresinsky curve always has 4 variables
     for argv, flag in [(("semigroup", "3", "5", "7", "--max-gb", "5"), "--max-gb"),
                        (("derivations", "3", "5", "7", "--max-gb", "5"), "--max-gb"),
+                       (("betti", "3", "5", "7", "--max-gb", "5"), "--max-gb"),
                        (("bresinsky", "--q2", "4", "--max-vars", "6"), "--max-vars")]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
@@ -292,7 +331,7 @@ def test_duplicate_and_unsorted_input(capsys):
 
 def test_exponent_limit_exit_code(capsys):
     # x0^32769 - x1^2 leaves the 16-bit fields of the resolution, which
-    # reruns on wider ones; betti resolves its reduction x1^2 instead
+    # reruns on wider ones; betti resolves nothing and reads Ap(S, 2)
     payload = run_json(capsys, "resolution", "2", "32769", "--max-conductor", "70000")
     assert payload["ranks"] == [1, 1] and payload["shifts"] == [[0], [65538]]
     code, out, err = run(capsys, "betti", "2", "32769", "--max-conductor", "70000")

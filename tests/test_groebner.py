@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from kernel_oracle import elimination_order, elimination_relations, polynomial_complete
+from windows import window_curves
 
 import monocurves.groebner as groebner_module
 from monocurves import (ComputationLimitExceeded, GroebnerBasis,
@@ -9,6 +12,7 @@ from monocurves import (ComputationLimitExceeded, GroebnerBasis,
                         homogenize_basis, is_groebner_basis, normal_form,
                         parametrization_kernel, parse_polynomial, reduce_basis)
 from monocurves.families import bresinsky_generators, bresinsky_order, bresinsky_sequence
+from monocurves.orders import _KINDS
 from monocurves.poly import divide, exp_coprime, s_polynomial
 
 XY = ("x0", "x1")
@@ -83,6 +87,19 @@ def test_reduced_basis_unique_across_generating_sets():
     assert a.generators == b.generators
     # idempotent
     assert reduce_basis(a).generators == a.generators
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(window_curves(range(3, 8), (3, 4))), st.sampled_from(_KINDS), st.data())
+def test_reduced_basis_does_not_depend_on_input_order(gens, kind, data):
+    # the reduced basis of an ideal is unique: completing the kernel's
+    # generators in any order, under any order of any kind, gives one basis
+    kernel = list(parametrization_kernel(gens).generators)
+    perm = tuple(data.draw(st.permutations(range(len(gens))), label="variable priority"))
+    order = MonomialOrder(kind, len(gens), perm, gens if kind == "weighted" else None)
+    expected = reduce_basis(buchberger(kernel, order)).generators
+    shuffled = data.draw(st.permutations(kernel), label="generator order")
+    assert reduce_basis(buchberger(shuffled, order)).generators == expected
 
 
 def test_reduce_basis_principal():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from monocurves import (GradedResolution, MonomialOrder, Polynomial, buchberger,
                         betti_numbers, free_resolution, minimal_generators, minimalize,
                         parametrization_kernel, parse_polynomial, schreyer_syzygies)
-from monocurves.resolution import _betti, _graded_betti, _rank
-from monocurves.toric import GradedIdealPresentation, _apery_kernel
+from monocurves.resolution import _graded_betti, _rank
+from monocurves.toric import GradedIdealPresentation
 
 
 def test_koszul_syzygy():
@@ -265,30 +265,6 @@ def test_export_golden_two_three():
     }
 
 
-def test_hilbert_series_identity():
-    # independent exactness oracle: the semigroup generating function times
-    # prod(1 - t^n_i) must equal the alternating sum of t^shift over the
-    # resolution, degree by degree
-    from monocurves import new_semigroup
-
-    for gens in [(2, 3), (3, 5, 7), (4, 6, 7), (6, 10, 15), (12, 15, 20, 23)]:
-        s = new_semigroup(gens)
-        pres = parametrization_kernel(gens)
-        for res in (free_resolution(pres), minimalize(free_resolution(pres))):
-            upto = max(max(level) for level in res.shifts) + s.conductor + max(gens)
-            series = [1 if s.contains(d) else 0 for d in range(upto + 1)]
-            for n in gens:
-                nxt = list(series)
-                for d in range(n, upto + 1):
-                    nxt[d] -= series[d - n]
-                series = nxt
-            expected = [0] * (upto + 1)
-            for i, level in enumerate(res.shifts):
-                for d in level:
-                    expected[d] += (-1) ** i
-            assert series == expected, (gens, res.minimal)
-
-
 # ---- the oracle corpus: graded Betti numbers, the integer key, exactness ----
 
 def oracle_curves():
@@ -336,12 +312,54 @@ def test_graded_betti_numbers_match_divisor_complex_oracle(oracle_resolutions,
         assert graded(res) == oracle, gens
 
 
+def assert_hilbert_identity(gens, res):
+    """Exactness in every degree: sum_i (-1)^i sum of t^s over the shifts s
+    of F_i is the numerator of the Hilbert series of k[S] over prod(1 -
+    t^n_j), sum of t^w over w in Ap(S, m) times prod over j != low of
+    (1 - t^n_j), Ap(S, m) from the Koszul oracle's own loop.  It checks the
+    shifts of a resolution, raw or minimal."""
+    from apery_koszul_oracle import apery_set
+
+    m, apery = apery_set(gens)
+    numerator = Counter(apery)
+    for n in gens:
+        if n != m:
+            numerator.subtract({d + n: c for d, c in numerator.items()})
+    alternating = Counter()
+    for i, level in enumerate(res.shifts):
+        for s in level:
+            alternating[s] += (-1) ** i
+    assert ({d: c for d, c in numerator.items() if c}
+            == {d: c for d, c in alternating.items() if c}), (gens, res.minimal)
+
+
+def test_hilbert_series_identity(oracle_resolutions):
+    for gens, _, raw, res in oracle_resolutions:
+        assert_hilbert_identity(gens, raw)
+        assert_hilbert_identity(gens, res)
+    for gens in [(2, 3), (6, 10, 15)]:
+        raw = free_resolution(parametrization_kernel(gens))
+        assert_hilbert_identity(gens, raw)
+        assert_hilbert_identity(gens, minimalize(raw))
+
+
+@pytest.mark.slow
+def test_hilbert_series_identity_wide():
+    from windows import window_curves
+
+    # the curve pool of the benchmark corpus, raw resolutions
+    curves = window_curves(range(4, 11), (4, 5, 6))
+    assert len(curves) == 666
+    for gens in curves:
+        assert_hilbert_identity(gens, free_resolution(parametrization_kernel(gens)))
+
+
 def test_artinian_reduction_matches_divisor_complex_oracle(oracle_resolutions,
                                                            divisor_complex_betti):
-    # the graded Betti numbers of k[S]/(t^m) over the other p variables,
-    # read off the kernel before any step under the output order
+    # the graded Betti numbers of k[S]/(t^m) over the other p variables, as
+    # Koszul homology over Ap(S, m)
     for (gens, _, _, _), oracle in zip(oracle_resolutions, divisor_complex_betti):
-        assert _graded_betti(_apery_kernel(gens)) == oracle, gens
+        assert _graded_betti(gens) == oracle, gens
 
 
 def test_koszul_oracle_matches_divisor_complex_oracle(oracle_resolutions,
@@ -353,11 +371,10 @@ def test_koszul_oracle_matches_divisor_complex_oracle(oracle_resolutions,
 
 
 def assert_reduction_matches_full(exponents, variables=None):
-    """The graded Betti numbers read off the reduction are the shifts, level
-    by level, of the minimal resolution of I(S) itself."""
-    reduced = _graded_betti(_apery_kernel(exponents, variables))
+    """The graded Betti numbers of the reduction's Koszul homology are the
+    shifts, level by level, of the minimal resolution of I(S) itself."""
     full = minimalize(free_resolution(parametrization_kernel(exponents, variables)))
-    assert reduced == graded(full), exponents
+    assert _graded_betti(exponents) == graded(full), exponents
 
 
 def test_artinian_reduction_matches_full_resolution():
@@ -386,31 +403,17 @@ def test_artinian_reduction_matches_full_resolution_wide():
         assert_reduction_matches_full(inst.n, inst.variables)
 
 
-def test_artinian_reduction_checks_its_input():
-    variables = ("x0", "x1")
-    gens = (parse_polynomial("x0^3 - x1^2", variables),)
-    weighted = MonomialOrder.weighted((2, 3))
-    # the kernel of (2, 3) reduces by x1, the last variable, to x0^3
-    pres = GradedIdealPresentation(variables, (2, 3), weighted, gens)
-    assert (_graded_betti(pres), _betti(pres)) == (Counter({(0, 0): 1, (1, 6): 1}), [1])
-    for order in [MonomialOrder.grevlex(2), MonomialOrder.weighted((3, 2))]:
-        with pytest.raises(ValueError, match="weighted grevlex order"):
-            _graded_betti(GradedIdealPresentation(variables, (2, 3), order, gens))
-    # x1 divides the lead x0*x1: a zero divisor on R/(x0*x1)
-    monomial = (parse_polynomial("x0*x1", variables),)
-    with pytest.raises(ValueError, match="x1 divides the leading term"):
-        _graded_betti(GradedIdealPresentation(variables, (2, 3), weighted, monomial))
-    bad = (parse_polynomial("x0^3 - x1", variables),)
-    with pytest.raises(ValueError, match="non-homogeneous"):
-        _graded_betti(GradedIdealPresentation(variables, (2, 3), weighted, bad))
-    # the zero ideal of N: nothing to resolve, in no variable
-    pres = parametrization_kernel((1,))
-    assert (_graded_betti(pres), _betti(pres)) == (Counter({(0, 0): 1}), [])
-    # the unit ideal: the constant block of d_1 cancels F_0, so R/I = 0 has no
-    # Betti number
-    unit = (parse_polynomial("1", variables),)
-    pres = GradedIdealPresentation(variables, (2, 3), weighted, unit)
-    assert (_graded_betti(pres), _betti(pres)) == (Counter(), [])
+def test_koszul_betti_small_cases():
+    # N has the zero ideal: Ap(S, 1) = {0} and no other variable, so e_{} t^0 is
+    # the one Koszul vector
+    assert _graded_betti((1,)) == Counter({(0, 0): 1})
+    assert betti_numbers((1,)) == []
+    # the kernel of (2, 3) is x0^3 - x1^2, of degree 6: Ap(S, 2) = {0, 3}
+    assert _graded_betti((2, 3)) == Counter({(0, 0): 1, (1, 6): 1})
+    # the exponents need not be sorted: the least one is taken wherever it sits
+    assert _graded_betti((7, 3, 5)) == _graded_betti((3, 5, 7))
+    assert _graded_betti((3, 5, 7)) == Counter({(0, 0): 1, (1, 10): 1, (1, 12): 1, (1, 14): 1,
+                                                (2, 17): 1, (2, 19): 1})
 
 
 def test_graded_betti_matches_koszul_oracle():
@@ -420,7 +423,7 @@ def test_graded_betti_matches_koszul_oracle():
     curves = window_curves(range(4, 9), (4,))
     assert len(curves) == 69
     for gens in curves:
-        assert _graded_betti(_apery_kernel(gens)) == graded_betti(gens), gens
+        assert _graded_betti(gens) == graded_betti(gens), gens
 
 
 @pytest.mark.slow
@@ -433,7 +436,7 @@ def test_graded_betti_matches_koszul_oracle_wide():
                         + window_curves((10,), (5,))))
     assert len(curves) == 610
     for gens in curves:
-        assert _graded_betti(_apery_kernel(gens)) == graded_betti(gens), gens
+        assert _graded_betti(gens) == graded_betti(gens), gens
 
 
 def independent_rank(rows):

@@ -2,11 +2,12 @@
 ``structure_oracle``, on every window curve of embedding dimension 3 and 4,
 and 5 under slow.
 
-``betti_numbers`` resolves the kernel that ``toric._apery_kernel`` reads
-off Ap(S, m), so a wrong fibre minimum shows in the Betti numbers; each
-window also pins that no curve takes a completion on the way.  On the
-symmetric curves the graded Betti numbers that ``_graded_betti`` reads off
-the Artinian reduction are checked to be self-dual, as Kunz's theorem makes them.
+``betti_numbers`` takes the Koszul homology of k[S]/(t^m) over Ap(S, m),
+read off the fibre minima of ``toric._fibre_minima``, so a wrong Apery
+element shows in the Betti numbers; each window also pins that no curve
+takes a completion on the way.  On the symmetric curves the graded Betti
+numbers of ``_graded_betti`` are checked to be self-dual, as Kunz's theorem
+makes them.
 """
 
 from collections import Counter
@@ -18,7 +19,6 @@ from windows import window_curves
 
 from monocurves import betti_numbers
 from monocurves.resolution import _graded_betti
-from monocurves.toric import _apery_kernel
 
 
 def assert_self_dual(gens):
@@ -27,15 +27,15 @@ def assert_self_dual(gens):
     self-dual (Kunz 1970)."""
     sigma = frobenius_and_members(gens)[0] + sum(gens)
     p = len(gens) - 1
-    graded = _graded_betti(_apery_kernel(gens))
+    graded = _graded_betti(gens)
     assert graded == Counter({(p - i, sigma - s): b for (i, s), b in graded.items()}), gens
 
 
 def check_windows(completions, curves):
     """Check every curve against the theorems of Herzog, Bresinsky, Komeda,
     Kunz and Delorme: ({(betti, class): count} over the symmetric and the
-    pseudo-symmetric curves, {completions: count} over the kernels
-    betti_numbers resolves)."""
+    pseudo-symmetric curves, {completions: count} over the curves, where
+    betti_numbers builds no kernel)."""
     tally, steps = Counter(), Counter()
     for gens in curves:
         completions.clear()
