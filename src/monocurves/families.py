@@ -11,7 +11,7 @@ from .orders import MonomialOrder
 from .poly import Polynomial
 from .resolution import betti_numbers
 from .semigroup import NumericalSemigroup
-from .toric import MonomialCurve, _apery_kernel, eta_check, parametrization_kernel
+from .toric import MonomialCurve, eta_check, parametrization_kernel
 
 _BRESINSKY_VARS = ("x1", "x2", "x3", "x4")
 
@@ -147,10 +147,10 @@ def concatenation_semigroup(a: int, d: int, b: int, p: int):
 
 
 def _curve_row(semigroup: NumericalSemigroup, *, max_basis: int | None = None) -> dict:
-    # the kernel under its x_low order, before any step under the output
-    # order, for eta_check alone; the Betti numbers take no kernel
+    # the kernel for eta_check alone, with m last: a pass on Z/m, not Z/n_p;
+    # the Betti numbers take no kernel
     gens = semigroup.minimal_generators
-    pres = _apery_kernel(gens, max_basis=max_basis)
+    pres = parametrization_kernel(gens[1:] + gens[:1], max_basis=max_basis)
     betti = betti_numbers(MonomialCurve(gens))
     return {
         "beta": betti,

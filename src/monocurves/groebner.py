@@ -479,13 +479,11 @@ class PackedBinomials:
             raise _overflow()
         return sum(map(mul, self.coeffs, exp))
 
-    def pairs(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The elements as (lead, tail) exponent vectors."""
-        exponents = self.codec.exponents
-        return [(exponents(lead), exponents(tail)) for lead, tail, _, _ in self.basis]
-
     def polynomials(self, variables) -> list[Polynomial]:
-        return binomial_polynomials(variables, self.pairs(), self.order)
+        exponents = self.codec.exponents
+        return binomial_polynomials(
+            variables, [(exponents(lead), exponents(tail)) for lead, tail, _, _ in self.basis],
+            self.order)
 
     def contains(self, g) -> bool:
         """True when the element g reduces to zero: its terms' normal forms meet."""
@@ -514,13 +512,6 @@ class PackedBinomials:
             tail, tail_key = _normal_form(tail, tail_key, kept[:i] + kept[i + 1:], guard)
             kept[i] = (lead, tail, lead_key, tail_key)
         self.basis = kept
-
-
-def binomial_run(pairs, order: MonomialOrder, run):
-    """run(PackedBinomials(order, bits, pairs)) under ``_widening``, the
-    width chosen from the largest total degree among the pairs' terms."""
-    return _widening(max((sum(m) for pair in pairs for m in pair), default=0),
-                     lambda bits: run(PackedBinomials(order, bits, pairs)))
 
 
 def binomial_polynomials(variables, pairs, order: MonomialOrder) -> list[Polynomial]:

@@ -1,5 +1,5 @@
-"""Defining ideals of monomial curves read off their Apery sets, minimal
-generators."""
+"""Defining ideals of monomial curves read off the Apery set of the last
+exponent, minimal generators."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from functools import partial
 from math import gcd
 from typing import Sequence
 
-from .groebner import (ComputationLimitExceeded, GroebnerBasis, PackedBinomials, basis_run,
-                       binomial_pairs, binomial_polynomials, binomial_run, check_max_basis)
+from .groebner import (ComputationLimitExceeded, GroebnerBasis, basis_run, binomial_polynomials,
+                       check_max_basis)
 from .orders import MonomialOrder
 from .poly import Polynomial, _check_variables, weighted_degree
 from .semigroup import NumericalSemigroup
@@ -62,61 +62,29 @@ class GradedIdealPresentation:
 def parametrization_kernel(exponents: Sequence[int],
                            variables: Sequence[str] | None = None, *,
                            max_basis: int | None = None) -> GradedIdealPresentation:
-    """Reduced Groebner basis of the kernel I(S) of x_i -> t^(exponents[i]).
+    """Reduced Groebner basis of the kernel I(S) of x_i -> t^(exponents[i])
+    under the weighted grevlex order, whose least variable is x_p, the last.
 
     Works for any positive exponent assignment with gcd 1; the exponents
     need not be sorted or distinct.  Each graded piece of k[S] has
     dimension at most 1, so under any term order the standard monomials of
     I(S) are exactly the fibre minima, one for each degree in S (Sturmfels,
-    Groebner Bases and Convex Polytopes, ch. 4).  Take the weighted grevlex
-    order with x_low, the first variable of least weight m, last.  The
-    minimum of the fibre of degree d carries the largest power x_low^k that
-    leaves d - k*m in S, so w = d - k*m lies in Ap(S, m) = {w in S : w - m
-    not in S}, and the standard monomials are the x_low^k * mu(w), mu(w) the
-    least x_low-free monomial of degree w.  A minimal lead c is x_low-free
-    (c / x_low would be standard, and so c), is no mu(w) and has every
-    c / x_i a mu: c = mu(w) * x_i.  Its tail is its normal form, the least
-    x_low^k * mu(w') of its fibre, w' the element of Ap(S, m) congruent to
-    deg c mod m.  ``_apery_kernel`` builds that basis with no completion.
+    Groebner Bases and Convex Polytopes, ch. 4).  With n = n_p, the minimum
+    of the fibre of degree d carries the largest power x_p^k that leaves
+    d - k*n in S, so w = d - k*n lies in Ap(S, n) = {w in S : w - n not in
+    S}, and the standard monomials are the x_p^k * mu(w), mu(w) the least
+    x_p-free monomial of degree w.  A minimal lead c is x_p-free (c / x_p
+    would be standard, and so c), is no mu(w) and has every c / x_i a mu:
+    c = mu(w) * x_i.  Its tail is its normal form, the least x_p^k * mu(w')
+    of its fibre, w' the element of Ap(S, n) congruent to deg c mod n.  So
+    the basis is {c - x_p^k * mu(w')} and takes no completion.
 
-    Unless x_low is x_p, the last variable, one step on the binomial engine
-    of ``groebner`` (``PackedBinomials``, under ``_widening``) then
-    completes and reduces it under the output order, x_p last: the basis
-    already generates I(S), which is prime, so nothing is saturated.  The
-    output order is not built from fibre minima too, which would take a
-    pass on Z/n_p instead of Z/m.
-
-    max_basis bounds the x_low basis and every basis of the output step
-    (ComputationLimitExceeded); a max_basis that is not None or an int >= 0
-    raises ValueError before any work.
-    """
-    pres = _apery_kernel(exponents, variables, max_basis)
-    order = MonomialOrder.weighted(pres.weights)
-    if pres.order == order:
-        return pres
-    pairs = binomial_run(binomial_pairs(pres.generators), order,
-                         partial(_completion, max_basis))
-    return replace(pres, order=order,
-                   generators=tuple(binomial_polynomials(pres.variables, pairs, order)))
-
-
-def _completion(max_basis, binomials: PackedBinomials):
-    """Complete and reduce: the output step of ``parametrization_kernel``."""
-    binomials.complete(max_basis=max_basis)
-    binomials.reduce()
-    return binomials.pairs()
-
-
-def _apery_kernel(exponents: Sequence[int], variables: Sequence[str] | None = None,
-                  max_basis: int | None = None) -> GradedIdealPresentation:
-    """I(S), the kernel of ``parametrization_kernel``, as its reduced basis
-    {c - x_low^k * mu(w')} under the weighted grevlex order with x_low last.
-
-    ``_fibre_minima`` finds every mu(w), w in Ap(S, m), by one shortest-path
-    pass on Z/m, and each lead c = mu(w) * x_i is met once, from c / x_i
-    with x_i the last variable of c: O(m * e^2) work in all.  The basis is
-    sorted by lead, as ``PackedBinomials.reduce`` leaves it.  max_basis
-    bounds its size (ComputationLimitExceeded).
+    ``_fibre_minima`` finds every mu(w) by one shortest-path pass on Z/n,
+    and each lead c = mu(w) * x_i is met once, from c / x_i with x_i the
+    last variable of c: O(n * e^2) work in all.  The basis is sorted by
+    lead.  max_basis bounds its size (ComputationLimitExceeded); a
+    max_basis that is not None or an int >= 0 raises ValueError before any
+    work.
     """
     exponents = tuple(exponents)
     if not exponents or any(type(n) is not int or n < 1 for n in exponents):
@@ -131,11 +99,9 @@ def _apery_kernel(exponents: Sequence[int], variables: Sequence[str] | None = No
             raise ValueError("one variable per exponent")
         _check_variables(variables)
     check_max_basis(max_basis)
-    e, low = len(exponents), exponents.index(min(exponents))
-    m = exponents[low]
-    others = tuple(j for j in range(e) if j != low)
-    order = MonomialOrder.weighted(exponents, others + (low,))
-    minima = _fibre_minima(exponents, others, m)
+    n, others = exponents[-1], tuple(range(len(exponents) - 1))
+    order = MonomialOrder.weighted(exponents)
+    minima = _fibre_minima(exponents, others, n)
     standard = set(minima.values())
     pairs = []
     for u in minima.values():
@@ -148,9 +114,9 @@ def _apery_kernel(exponents: Sequence[int], variables: Sequence[str] | None = No
                     raise ComputationLimitExceeded(
                         f"Groebner basis exceeded {max_basis} elements")
                 degree = weighted_degree(c, exponents)
-                tail = minima[degree % m]
-                k = (degree - weighted_degree(tail, exponents)) // m
-                pairs.append((c, tail[:low] + (k,) + tail[low + 1:]))
+                tail = minima[degree % n]
+                k = (degree - weighted_degree(tail, exponents)) // n
+                pairs.append((c, tail[:-1] + (k,)))
             if u[i]:
                 break
     pairs.sort(key=lambda pair: order.key(pair[0]))
@@ -160,15 +126,18 @@ def _apery_kernel(exponents: Sequence[int], variables: Sequence[str] | None = No
 
 def _fibre_minima(exponents: tuple[int, ...], others: tuple[int, ...],
                   m: int) -> dict[int, tuple[int, ...]]:
-    """{w mod m: mu(w)} over w in Ap(S, m): the least x_low-free monomial of
-    each residue class, by Dijkstra on Z/m (Boecker and Liptak 2007).
+    """{w mod m: mu(w)} over w in Ap(S, m), where others holds the index of
+    every variable but one, x_q, and m = exponents[q]: mu(w) is the least
+    x_q-free monomial of degree w, one per residue class, by Dijkstra on
+    Z/m (Boecker and Liptak 2007).
 
     A path adds one variable x_i, i in others, at a time, and costs the key
     (weighted degree, -u[others[-1]], ..., -u[others[0]]) of its monomial u:
-    the order's key restricted to x_low-free monomials.  The key is additive
-    and each step raises it, so the first path settled at a residue is its
-    least monomial, of the least degree w there, which is the element of
-    Ap(S, m) in that class.  The pass stops once all m residues are settled.
+    the key of the weighted grevlex order with x_q last, restricted to
+    x_q-free monomials.  The key is additive and each step raises it, so the
+    first path settled at a residue is its least monomial, of the least
+    degree w there, which is the element of Ap(S, m) in that class.  The
+    pass stops once all m residues are settled.
 
     The heap holds each key packed into one int, degree * B^r minus the
     exponents as the r digits below it in base B = m + 1, r = len(others),

@@ -1,19 +1,19 @@
 import pytest
 
-import monocurves.toric as toric_module
+import monocurves.groebner as groebner_module
 
 
 @pytest.fixture
 def completions(monkeypatch):
-    """The last variable of the order of each engine run the kernel takes,
-    in turn, recorded by a spy on toric's ``binomial_run``; clear it
-    between kernels."""
+    """The size of the basis each completion starts from, in turn, recorded
+    by a spy on ``groebner._complete_with``, the one pair queue every
+    completion runs through; clear it between calls."""
     steps = []
-    binomial_run = toric_module.binomial_run
+    complete_with = groebner_module._complete_with
 
-    def recording(pairs, order, run):
-        steps.append(order.perm[-1])
-        return binomial_run(pairs, order, run)
+    def recording(basis, *args, **kwargs):
+        steps.append(len(basis))
+        return complete_with(basis, *args, **kwargs)
 
-    monkeypatch.setattr(toric_module, "binomial_run", recording)
+    monkeypatch.setattr(groebner_module, "_complete_with", recording)
     return steps

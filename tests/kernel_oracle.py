@@ -10,9 +10,9 @@ n_i.  Slow, but independent of the fibre minima of
 saturation of the ideal of a lattice basis by every variable (Sturmfels,
 Groebner Bases and Convex Polytopes, ch. 12), on ``Polynomial`` objects with
 S-polynomials and ``divide``; the lattice basis is its own
-(``lattice_basis``).  It then takes the steps of ``parametrization_kernel``
-from the reduced basis under the order with x_low last, so it gives the same
-bases and the same ``max_basis`` outcomes.
+(``lattice_basis``).  It refuses a reduced basis of more than ``max_basis``
+elements, as ``parametrization_kernel`` does, so it gives the same bases and
+the same ``max_basis`` outcomes.
 
 ``restart_minimal_generators``: the greedy scan of ``minimal_generators``
 with the completion rerun from scratch after each generator it keeps.
@@ -176,13 +176,11 @@ def change_order(basis, order, max_basis=None):
 
 
 def polynomial_kernel(exponents, variables=None, max_basis=None):
-    """(generators, order) of the reduced kernel basis: the lattice basis
-    ideal saturated by every variable in turn, the last one last, with no
-    bound.  Then, as parametrization_kernel: the reduced basis under the
-    order with x_low last, refused when it has more than max_basis
-    elements, and unless x_low is the last variable one completion under
-    the output order, bounded by max_basis.  ComputationLimitExceeded as
-    parametrization_kernel."""
+    """(generators, order) of the reduced kernel basis under the weighted
+    grevlex order, x_p last: the lattice basis ideal saturated by every
+    variable in turn, the last one last, with no bound, then reduced.  As
+    parametrization_kernel, ComputationLimitExceeded when the reduced basis
+    has more than max_basis elements."""
     exponents = tuple(exponents)
     if variables is None:
         variables = tuple(f"x{i}" for i in range(len(exponents)))
@@ -190,16 +188,12 @@ def polynomial_kernel(exponents, variables=None, max_basis=None):
     basis = [Polynomial._raw(variables, {tuple(max(a, 0) for a in v): 1,
                                          tuple(max(-a, 0) for a in v): -1})
              for v in lattice_basis(exponents)]
-    nvars = len(exponents)
-    for i in range(nvars):
+    for i in range(len(exponents)):
         basis = saturate(change_order(basis, last_order(exponents, i)), i)
-    low = exponents.index(min(exponents))
-    basis = change_order(basis, last_order(exponents, low))
+    order = MonomialOrder.weighted(exponents)
+    basis = change_order(basis, order)
     if max_basis is not None and len(basis) > max_basis:
         raise ComputationLimitExceeded(f"Groebner basis exceeded {max_basis} elements")
-    order = MonomialOrder.weighted(exponents)
-    if low != nvars - 1:
-        basis = change_order(basis, order, max_basis)
     return tuple(basis), order
 
 

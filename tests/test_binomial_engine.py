@@ -214,10 +214,12 @@ def test_exponent_range_is_not_limited(monkeypatch):
         return engine(order, bits, pairs)
 
     monkeypatch.setattr(groebner_module, "PackedBinomials", recording)
-    assert [str(g) for g in parametrization_kernel((2, 40001)).generators] == [
-        "x0^40001 - x1^2"]
-    # the width comes from the input: a term of degree 40001 needs 32 bits;
-    # the one engine run is the step under the output order
+    pres = parametrization_kernel((2, 40001))
+    assert [str(g) for g in pres.generators] == ["x0^40001 - x1^2"]
+    # the kernel takes no engine run; minimal_generators takes one, its
+    # width from the input: a term of degree 40001 needs 32 bits
+    assert widths == []
+    assert minimal_generators(pres).beta1 == 1
     assert widths == [32]
     pres = parametrization_kernel((3, 40001, 40003))
     want = ["-x0^13333*x2 + x1^2", "x0^26668 - x1*x2", "x0^13335*x1 - x2^2"]

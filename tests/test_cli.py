@@ -57,12 +57,12 @@ def test_betti(capsys):
 
 
 def test_betti_builds_no_kernel_and_no_basis(capsys, monkeypatch):
-    # betti takes Koszul homology over Ap(S, m): spies on the kernel read off
-    # Ap(S, m), under every name a module holds it by, and on GroebnerBasis
+    # betti takes Koszul homology over Ap(S, m): spies on the kernel, under
+    # every name a module holds it by, and on GroebnerBasis
     from monocurves import groebner, toric
 
     built = []
-    kernel, init = toric._apery_kernel, groebner.GroebnerBasis.__init__
+    kernel, init = toric.parametrization_kernel, groebner.GroebnerBasis.__init__
 
     def kernel_spy(*args, **kwargs):
         built.append("kernel")
@@ -73,8 +73,9 @@ def test_betti_builds_no_kernel_and_no_basis(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "monocurves" and vars(module).get("_apery_kernel") is kernel:
-            monkeypatch.setattr(module, "_apery_kernel", kernel_spy)
+        if (name.split(".")[0] == "monocurves"
+                and vars(module).get("parametrization_kernel") is kernel):
+            monkeypatch.setattr(module, "parametrization_kernel", kernel_spy)
     monkeypatch.setattr(groebner.GroebnerBasis, "__init__", init_spy)
     for gens in [("3", "5", "7"), ("12", "15", "20", "23"), ("20", "15", "23", "12")]:
         assert run(capsys, "betti", *gens)[0] == 0
@@ -253,10 +254,10 @@ def test_guard_exit_code(capsys):
     code, _, err = run(capsys, "ideal", "--max-gb", "2", "12", "15", "20", "23")
     assert code == 2  # the kernel's Groebner basis outgrows 2 elements
     assert "exceeded 2 elements" in err
-    # ideal reads 8 elements off Ap(S, 12) and completes them to 11
-    code, _, err = run(capsys, "ideal", "--max-gb", "10", "12", "15", "20", "23")
-    assert code == 2 and "exceeded 10 elements" in err
-    code, _, _ = run(capsys, "ideal", "--max-gb", "11", "12", "15", "20", "23")
+    # ideal reads its 10 elements off Ap(S, 23)
+    code, _, err = run(capsys, "ideal", "--max-gb", "9", "12", "15", "20", "23")
+    assert code == 2 and "exceeded 9 elements" in err
+    code, _, _ = run(capsys, "ideal", "--max-gb", "10", "12", "15", "20", "23")
     assert code == 0
 
 

@@ -7,19 +7,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from semigroup_oracle import invariants
-from kernel_oracle import (change_order, elimination_kernel, polynomial_kernel,
+from kernel_oracle import (elimination_kernel, last_order, polynomial_kernel,
                            restart_minimal_generators)
 from windows import window_curves
 
 import monocurves.groebner as groebner_module
 import monocurves.toric as toric_module
-from monocurves import (ComputationLimitExceeded, GradedIdealPresentation,
+from monocurves import (ComputationLimitExceeded, GradedIdealPresentation, MonomialOrder,
                         Polynomial, bresinsky_sequence, buchberger,
                         defining_ideal, eta_check, minimal_generators,
                         monomial_curve, new_semigroup, parametrization_kernel,
-                        parse_polynomial, reduce_basis)
+                        parse_polynomial)
 from monocurves.poly import weighted_degree
-from monocurves.toric import _apery_kernel
+from monocurves.resolution import _graded_betti
+from monocurves.toric import _fibre_minima
 
 CURVES = [(2, 3), (3, 5, 7), (3, 4, 5), (4, 6, 7), (6, 10, 15), (5, 7, 9, 13)]
 
@@ -152,27 +153,21 @@ def test_kernel_validation():
 
 
 def test_kernel_max_basis_guard():
-    # the basis of (12,15,20,23) read off Ap(S, 12) has 8 elements; the step
-    # under the output order grows it to 11 and reduces it to 10
-    for k in (2, 7):
-        with pytest.raises(ComputationLimitExceeded, match=f"exceeded {k} elements"):
-            _apery_kernel((12, 15, 20, 23), max_basis=k)
-    assert len(_apery_kernel((12, 15, 20, 23), max_basis=8).generators) == 8
-    for k in (2, 7, 10):
+    # the basis of (12,15,20,23) read off Ap(S, 23) has 10 elements, and
+    # max_basis bounds that one basis
+    for k in (2, 7, 9):
         with pytest.raises(ComputationLimitExceeded, match=f"exceeded {k} elements"):
             parametrization_kernel((12, 15, 20, 23), max_basis=k)
-    assert len(parametrization_kernel((12, 15, 20, 23), max_basis=11).generators) == 10
+    assert len(parametrization_kernel((12, 15, 20, 23), max_basis=10).generators) == 10
 
 
 def test_kernel_refuses_bad_max_basis():
     # bools, floats, strings and negative bounds are no element counts; 0
-    # is one, which every kernel with a completion step exceeds
+    # is one, which every kernel with a generator exceeds
     for exponents in [(3, 5, 7), (1,)]:
         for bad in (-1, True, 2.5, "3"):
             with pytest.raises(ValueError, match="max_basis must be None or an int >= 0"):
                 parametrization_kernel(exponents, max_basis=bad)
-            with pytest.raises(ValueError, match="max_basis must be None or an int >= 0"):
-                _apery_kernel(exponents, max_basis=bad)
     with pytest.raises(ComputationLimitExceeded):
         parametrization_kernel((3, 5, 7), max_basis=0)
     assert parametrization_kernel((1,), max_basis=0).generators == ()
@@ -198,7 +193,7 @@ def test_kernel_matches_elimination_oracle():
     curves += [(5, 7, 9, 11), (12, 15, 20, 23), (4, 5, 6, 7), (5, 6, 7, 8, 9),
                (10, 11, 13, 17, 19), (31, 37, 41, 43), (25, 31, 36, 43, 47)]
     # unsorted or repeated exponents, and the edge cases
-    curves += [(7, 5, 3), (2, 2, 3), (3, 3, 4, 4, 5), (1,), (1, 2)]
+    curves += [(7, 5, 3), (5, 3, 7), (13, 5, 14), (2, 2, 3), (3, 3, 4, 4, 5), (1,), (1, 2)]
     for gens in curves:
         assert_matches_oracle(gens)
     assert assert_matches_oracle((1,), ("y",)).generators == ()
@@ -206,8 +201,7 @@ def test_kernel_matches_elimination_oracle():
 
 
 def test_bresinsky_kernel_matches_elimination_oracle(completions):
-    # n puts the least weight last: the x_low basis is the kernel under the
-    # output order, and no completion follows
+    # the basis is read off Ap(S, n_p), and no completion follows
     for q2 in (4, 6, 8):
         inst = bresinsky_sequence(q2)
         completions.clear()
@@ -215,22 +209,19 @@ def test_bresinsky_kernel_matches_elimination_oracle(completions):
         assert completions == [], q2
 
 
-def test_apery_kernel_then_one_output_step(completions):
-    # the x_low basis takes no completion; parametrization_kernel completes
-    # it under the output order, x_p last, when x_low is not x_p
-    for exponents, low in [((3, 5, 7), 0), ((5, 3, 7), 1), ((5, 7, 3), 2),
-                           ((7, 11, 12, 13), 0), ((8, 11, 13, 15), 0), ((5, 13, 14), 0),
-                           ((13, 5, 14), 1), ((13, 14, 5), 2), ((2, 2, 3), 0), ((1, 1), 0)]:
+def test_kernel_completes_nothing(completions):
+    # the basis is read off Ap(S, n_p) under the output order: no pair queue
+    # runs, sorted or not, with repeats and 1s
+    curves = window_curves(range(3, 11), (3, 4))
+    curves += [(5, 3, 7), (13, 5, 14), (2, 2, 3), (1, 1)]
+    curves += [bresinsky_sequence(q2).n for q2 in range(4, 13, 2)]
+    for exponents in curves:
         completions.clear()
-        pres = _apery_kernel(exponents)
+        parametrization_kernel(exponents)
         assert completions == [], exponents
-        assert pres.order.perm[-1] == low, exponents
-        last = len(exponents) - 1
-        kernel = assert_matches_oracle(exponents)
-        assert completions == ([last] if low != last else []), exponents
-        # the same ideal, under another order
-        assert reduce_basis(buchberger(pres.generators, kernel.order)).generators \
-            == kernel.generators, exponents
+    # the spy sees a completion
+    buchberger(parametrization_kernel((5, 3, 7)).generators, MonomialOrder.lex(3))
+    assert completions
 
 
 def printed(gens):
@@ -239,16 +230,13 @@ def printed(gens):
 
 def assert_apery_matches_oracles(exponents, variables=None, oracles=(elimination_kernel,
                                                                      polynomial_kernel)):
-    """_apery_kernel is the kernel of each oracle under its order, x_low
-    last, and parametrization_kernel is theirs under the output order."""
-    pres = _apery_kernel(exponents, variables)
-    assert pres.order.perm[-1] == exponents.index(min(exponents)), exponents
-    kernel = printed(parametrization_kernel(exponents, variables).generators)
+    """parametrization_kernel, read off Ap(S, n_p), is the kernel of each
+    oracle, under the same order."""
+    pres = parametrization_kernel(exponents, variables)
     for oracle in oracles:
-        gens, _ = oracle(exponents, variables)
-        assert kernel == printed(gens), (exponents, oracle)
-        assert printed(pres.generators) == printed(change_order(gens, pres.order)), \
-            (exponents, oracle)
+        gens, order = oracle(exponents, variables)
+        assert printed(pres.generators) == printed(gens), (exponents, oracle)
+        assert repr(pres.order) == repr(order), (exponents, oracle)
 
 
 def test_apery_kernel_matches_both_oracles():
@@ -275,10 +263,10 @@ def test_apery_kernel_matches_both_oracles_wide():
         assert_apery_matches_oracles(inst.n, inst.variables, (elimination_kernel,))
 
 
-def x_low_free_standard_monomials(pres):
-    """The monomials free of x_low, the order's last variable, that no lead
+def last_free_standard_monomials(pres):
+    """The monomials free of x_p, the order's last variable, that no lead
     divides, by a walk from 1 that never extends a multiple of a lead."""
-    order, low = pres.order, pres.order.perm[-1]
+    order, last = pres.order, pres.order.perm[-1]
     leads = [g.leading(order)[0] for g in pres.generators]
     seen, todo = set(), [(0,) * order.nvars]
     while todo:
@@ -286,22 +274,21 @@ def x_low_free_standard_monomials(pres):
         if u in seen or any(all(map(le, lead, u)) for lead in leads):
             continue
         seen.add(u)
-        todo += [u[:j] + (u[j] + 1,) + u[j + 1:] for j in range(order.nvars) if j != low]
+        todo += [u[:j] + (u[j] + 1,) + u[j + 1:] for j in range(order.nvars) if j != last]
     return seen
 
 
 def test_apery_kernel_standard_degrees_are_the_apery_set():
-    # k[S]/(t^m) has the basis t^w, w in Ap(S, m): one standard monomial free
-    # of x_low in each degree of the Apery set, and no other
+    # k[S]/(t^n_p) has the basis t^w, w in Ap(S, n_p): one standard monomial
+    # free of x_p in each degree of the Apery set, and no other
     curves = window_curves(range(3, 13), (3, 4)) + window_curves(range(5, 8), (5,))
     curves += [(13, 14, 5), (7, 11, 12, 13), (3, 3, 4, 4, 5), (2, 2, 3), (1, 1), (1,),
-               (9, 6, 4), (3, 40001, 40003)]
+               (9, 6, 4), (40001, 40003, 3)]
     for exponents in curves:
-        pres = _apery_kernel(exponents)
-        m = min(exponents)
+        pres = parametrization_kernel(exponents)
         degrees = sorted(weighted_degree(u, exponents)
-                         for u in x_low_free_standard_monomials(pres))
-        assert degrees == sorted(invariants(exponents)["apery"](m)), exponents
+                         for u in last_free_standard_monomials(pres))
+        assert degrees == sorted(invariants(exponents)["apery"](exponents[-1])), exponents
 
 
 def fibre(exponents, degree):
@@ -316,13 +303,34 @@ def test_apery_kernel_tails_are_fibre_minima():
     curves = window_curves(range(3, 10), (3, 4, 5))
     curves += [(13, 14, 5), (7, 11, 12, 13), (3, 3, 4, 4, 5), (2, 2, 3), (1, 1), (9, 6, 4)]
     for exponents in curves:
-        pres = _apery_kernel(exponents)
+        pres = parametrization_kernel(exponents)
         order = pres.order
         for g in pres.generators:
             lead, tail = sorted(g.terms, key=order.key, reverse=True)
             assert g.terms == {lead: 1, tail: -1}, (exponents, g)
             least = min(fibre(exponents, weighted_degree(lead, exponents)), key=order.key)
             assert tail == least, (exponents, g)
+
+
+def test_fibre_minima_of_the_least_generator():
+    # the pass _graded_betti reads, with x_low, the first variable of least
+    # weight m, left out: one x_low-free monomial per residue mod m, of the
+    # degree of Ap(S, m) there, and the least of that fibre's x_low-free
+    # monomials under the weighted grevlex order with x_low last
+    curves = window_curves(range(3, 10), (3, 4, 5))
+    curves += [(13, 14, 5), (7, 11, 12, 13), (3, 3, 4, 4, 5), (2, 2, 3), (1, 1), (1,),
+               (9, 6, 4), (3, 40001, 40003)]
+    for exponents in curves:
+        low = exponents.index(min(exponents))
+        m, others = exponents[low], tuple(j for j in range(len(exponents)) if j != low)
+        order = last_order(exponents, low)
+        minima = _fibre_minima(exponents, others, m)
+        degrees = {r: weighted_degree(u, exponents) for r, u in minima.items()}
+        assert sorted(degrees.values()) == sorted(invariants(exponents)["apery"](m)), exponents
+        for r, u in minima.items():
+            assert degrees[r] % m == r and not u[low], (exponents, u)
+            least = min((v for v in fibre(exponents, degrees[r]) if not v[low]), key=order.key)
+            assert u == least, (exponents, u)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -335,13 +343,13 @@ def test_apery_kernel_matches_polynomial_oracle_property(exponents):
     # unsorted tuples, 1s and repeats included
     exponents = tuple(exponents)
     lattice, order = polynomial_kernel(exponents)
-    pres = _apery_kernel(exponents)
-    assert printed(pres.generators) == printed(change_order(lattice, pres.order)), exponents
-    assert printed(parametrization_kernel(exponents).generators) == printed(lattice), exponents
+    pres = parametrization_kernel(exponents)
+    assert printed(pres.generators) == printed(lattice), exponents
+    assert repr(pres.order) == repr(order), exponents
     assert eta_check(pres)
 
 
-def test_apery_kernel_visits_m_residues(monkeypatch):
+def test_graded_betti_visits_m_residues(monkeypatch):
     # one pass on Z/3: three residues settled, whatever n_p is
     popped = []
     heappop = toric_module.heapq.heappop
@@ -353,11 +361,11 @@ def test_apery_kernel_visits_m_residues(monkeypatch):
         return key
 
     monkeypatch.setattr(toric_module.heapq, "heappop", recording)
-    pres = _apery_kernel((3, 40001, 40003))
+    graded = _graded_betti((3, 40001, 40003))
     assert popped == [0, 2, 1]
-    # every lead is free of x0, the last variable of the order
-    assert printed(pres.generators) == [
-        "-x0^13333*x2 + x1^2", "-x0^26668 + x1*x2", "-x0^13335*x1 + x2^2"]
+    # beta_1 in the degrees of x1^2, x1*x2 and x2^2
+    assert graded == {(0, 0): 1, (1, 80002): 1, (1, 80004): 1, (1, 80006): 1,
+                      (2, 120005): 1, (2, 120007): 1}
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
@@ -390,8 +398,8 @@ def assert_matches_polynomial_oracle(exponents, variables=None, max_basis=None):
 
 
 def test_kernel_matches_polynomial_oracle_at_every_max_basis():
-    # max_basis bounds every intermediate basis, so equal outcomes at every
-    # bound mean the two loops grow their bases alike step for step
+    # max_basis bounds the one reduced basis each side builds, so equal
+    # outcomes at every bound mean equal bases refused at the same size
     inst = bresinsky_sequence(6)
     for exponents, variables in [((12, 15, 20, 23), None),
                                  ((10, 11, 13, 17, 19), None),
