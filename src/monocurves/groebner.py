@@ -192,10 +192,11 @@ class GroebnerBasis:
     -(g - Lm g)*f + (f - Lm f)*g for a pair with coprime leading monomials,
     division against the basis for any other.  ``transcript`` raises
     ValueError for a pair that leaves a remainder; ``is_groebner_basis``
-    reports such records instead.  The level's width is chosen by
-    ``_widening`` and doubled whenever a division leaves it, so any exponent
-    is taken; the widest level built is kept.  The generators share one
-    ambient (ValueError otherwise).
+    reports such records instead.  Each call packs the level afresh, so
+    ``spair_transcripts`` takes every pair in one packing.  The level's
+    width is chosen by ``_widening`` and doubled whenever a division leaves
+    it, so any exponent is taken.  The generators share one ambient
+    (ValueError otherwise).
     """
 
     def __init__(self, generators: Iterable[Polynomial], order: MonomialOrder):
@@ -206,11 +207,6 @@ class GroebnerBasis:
             raise ValueError("generators live in different ambients")
         self.generators = tuple(g.monic(order) for g in gens)
         self.order = order
-        self._level = None
-
-    def __reduce__(self):
-        # the packed level is a cache, rebuilt on demand
-        return GroebnerBasis, (self.generators, self.order)
 
     def __len__(self):
         return len(self.generators)
@@ -235,17 +231,13 @@ class GroebnerBasis:
 
     def _on_level(self, run):
         """run(level) on the generators packed as a level of R^1 under
-        ``_widening``, from EXPONENT_BITS up; a level at least as wide as
-        the attempt is reused."""
+        ``_widening``, from EXPONENT_BITS up."""
         def attempt(bits):
-            if self._level is None or self._level.codec.bits < bits:
-                codec = MonomialCodec(self.order.nvars, bits)
-                self._level = PackedLevel(
-                    SchreyerOrder.rank_one(self.order, codec),
-                    [{codec.pack(0, exp): c for exp, c in g.terms.items()}
-                     for g in self.generators],
-                    [(0, exp) for exp in self.leading_exponents])
-            return run(self._level)
+            codec = MonomialCodec(self.order.nvars, bits)
+            return run(PackedLevel(SchreyerOrder.rank_one(self.order, codec),
+                                   [{codec.pack(0, exp): c for exp, c in g.terms.items()}
+                                    for g in self.generators],
+                                   [(0, exp) for exp in self.leading_exponents]))
 
         return _widening(0, attempt)
 
@@ -275,8 +267,11 @@ class GroebnerBasis:
         return record
 
     def spair_transcripts(self) -> dict[tuple[int, int], DivisionRecord]:
-        n = len(self.generators)
-        return {(i, j): self.transcript(i, j) for i in range(n) for j in range(i + 1, n)}
+        records = self._spair_records()
+        for (i, j), record in records.items():
+            if record.remainder:
+                raise remainder_error(i, j)
+        return records
 
 
 def remainder_error(i: int, j: int) -> ValueError:

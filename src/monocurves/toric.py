@@ -9,8 +9,7 @@ from functools import partial
 from math import gcd
 from typing import Sequence
 
-from .groebner import (ComputationLimitExceeded, GroebnerBasis, basis_run, binomial_polynomials,
-                       check_max_basis)
+from .groebner import ComputationLimitExceeded, basis_run, binomial_polynomials, check_max_basis
 from .orders import MonomialOrder
 from .poly import Polynomial, _check_variables, weighted_degree
 from .semigroup import NumericalSemigroup
@@ -54,9 +53,6 @@ class GradedIdealPresentation:
     order: MonomialOrder
     generators: tuple[Polynomial, ...]
     beta1: int | None = None
-
-    def groebner_basis(self) -> GroebnerBasis:
-        return GroebnerBasis(self.generators, self.order)
 
 
 def parametrization_kernel(exponents: Sequence[int],

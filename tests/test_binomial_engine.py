@@ -21,9 +21,9 @@ from kernel_oracle import polynomial_complete, polynomial_reduce, restart_minima
 from windows import window_curves
 
 import monocurves.groebner as groebner_module
-from monocurves import (ComputationLimitExceeded, GradedIdealPresentation, MonomialOrder,
-                        Polynomial, buchberger, eta_check, free_resolution, is_groebner_basis,
-                        minimal_generators, minimalize, parametrization_kernel,
+from monocurves import (ComputationLimitExceeded, GradedIdealPresentation, GroebnerBasis,
+                        MonomialOrder, Polynomial, buchberger, eta_check, free_resolution,
+                        is_groebner_basis, minimal_generators, minimalize, parametrization_kernel,
                         parse_polynomial, reduce_basis, schreyer_syzygies)
 from monocurves.poly import weighted_degree
 
@@ -290,7 +290,7 @@ def packed_outputs(exponents):
     res = free_resolution(pres)
     return out + [is_groebner_basis(pres.generators, pres.order),
                   is_groebner_basis(mingens, pres.order),
-                  schreyer_syzygies(pres.groebner_basis()), res, minimalize(res)]
+                  schreyer_syzygies(GroebnerBasis(pres.generators, pres.order)), res, minimalize(res)]
 
 
 @pytest.mark.parametrize("bits", [32, 64, 128])

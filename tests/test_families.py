@@ -3,8 +3,9 @@ from math import gcd
 
 import pytest
 
-from monocurves import (NumericalSemigroup, buchberger, bresinsky_generators,
-                        bresinsky_order, bresinsky_sequence,
+import monocurves.groebner as groebner_module
+from monocurves import (GroebnerBasis, NumericalSemigroup, Polynomial, buchberger,
+                        bresinsky_generators, bresinsky_order, bresinsky_sequence,
                         concatenation_semigroup, eta_check, families,
                         family_sweep, free_resolution, minimalize,
                         parametrization_kernel, sweep_to_text, verify_bresinsky)
@@ -75,10 +76,55 @@ def test_dropping_a_generator_breaks_generation():
     assert any(partial.normal_form(g) for g in kernel.generators)
 
 
+def test_either_half_of_generation_can_fail(monkeypatch):
+    # (S) in I(S) fails on x1 - x2, which does not vanish on the curve,
+    # though every kernel generator still reduces to zero; I(S) in (S)
+    # fails once g2 is dropped, though what is left still vanishes
+    inst = bresinsky_sequence(4)
+    gens = bresinsky_generators(inst)
+    x1_x2 = Polynomial(inst.variables, {(1, 0, 0, 0): 1, (0, 1, 0, 0): -1})
+    for changed in (gens + [x1_x2], gens[:-1]):
+        monkeypatch.setattr(families, "bresinsky_generators", lambda inst: list(changed))
+        report = verify_bresinsky(inst)
+        assert report.generates is False
+        assert report.betti_match
+
+
+def test_verifier_divides_only_the_kernel(monkeypatch):
+    # (S) in I(S) takes no division: the only normal forms are those of the
+    # kernel generators by the basis of (S), and the kernel gets no basis
+    inst = bresinsky_sequence(4)
+    kernel = parametrization_kernel(inst.n, inst.variables)
+    divisions, bases = [], []
+    divide, init = groebner_module.divide, GroebnerBasis.__init__
+
+    def counting_divide(f, divisors, order):
+        divisions.append(f)
+        return divide(f, divisors, order)
+
+    def recording_init(self, generators, order):
+        init(self, generators, order)
+        bases.append(self.generators)
+
+    monkeypatch.setattr(groebner_module, "divide", counting_divide)
+    monkeypatch.setattr(GroebnerBasis, "__init__", recording_init)
+    assert verify_bresinsky(inst).ok
+    assert divisions == list(kernel.generators)
+    assert kernel.generators not in bases
+
+
 def test_verify_q2_8():
     report = verify_bresinsky(bresinsky_sequence(8))
     assert report.ok
     assert report.betti == (16, 28, 13)
+
+
+@pytest.mark.parametrize("q2", [10, 12, 16, pytest.param(24, marks=pytest.mark.slow),
+                                pytest.param(32, marks=pytest.mark.slow)])
+def test_verify_at_scale(q2):
+    report = verify_bresinsky(bresinsky_sequence(q2))
+    assert report.ok
+    assert report.betti == (2 * q2, 4 * (q2 - 1), 2 * q2 - 3)
 
 
 @pytest.mark.parametrize("q2", [10, 12, 16, pytest.param(24, marks=pytest.mark.slow)])

@@ -166,7 +166,7 @@ def test_engine_binomials_arrive_with_their_lead():
 
 def test_public_values_pickle():
     # each public value type survives a pickle round trip; caches (a
-    # remembered lead, an order's key, a basis's packed level) are rebuilt
+    # remembered lead, an order's key) are rebuilt
     orders = [MonomialOrder.lex(2), MonomialOrder.grlex(3, perm=(2, 0, 1)),
               MonomialOrder.grevlex(2), MonomialOrder.weighted((3, 5), perm=(1, 0))]
     for order in orders:

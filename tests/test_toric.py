@@ -13,8 +13,8 @@ from windows import window_curves
 
 import monocurves.groebner as groebner_module
 import monocurves.toric as toric_module
-from monocurves import (ComputationLimitExceeded, GradedIdealPresentation, MonomialOrder,
-                        Polynomial, bresinsky_sequence, buchberger,
+from monocurves import (ComputationLimitExceeded, GradedIdealPresentation, GroebnerBasis,
+                        MonomialOrder, Polynomial, bresinsky_sequence, buchberger,
                         defining_ideal, eta_check, minimal_generators,
                         monomial_curve, new_semigroup, parametrization_kernel,
                         parse_polynomial)
@@ -59,7 +59,7 @@ def test_kernel_357():
     pres = defining_ideal(curve)
     mini = minimal_generators(pres)
     assert mini.beta1 == 3
-    gb = pres.groebner_basis()
+    gb = GroebnerBasis(pres.generators, pres.order)
     f = parse_polynomial("x1^2 - x0*x2", pres.variables)
     assert not gb.normal_form(f)
 
@@ -121,7 +121,7 @@ def test_binomial_membership_matches_weighted_degree():
     # scaled-down version of the acceptance sweep
     gens = (3, 5, 7)
     pres = parametrization_kernel(gens)
-    gb = pres.groebner_basis()
+    gb = GroebnerBasis(pres.generators, pres.order)
     vecs = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
     for u, v in combinations(vecs, 2):
         f = Polynomial(pres.variables, {u: 1, v: -1})
